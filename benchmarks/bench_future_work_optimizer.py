@@ -57,11 +57,9 @@ def build_table(size: str):
                       opt_s)
         savings[name] = fraction
     table.notes.append(
-        "optimized runs use the default template-compiling backend "
-        "(config.compile_backend='py'); bench_dispatch_backends.py "
-        "isolates its wall-clock win over the trace-IR interpreter, "
-        "while the paper-relevant result here is the instruction-"
-        "stream reduction")
+        "optimized runs template-compile hot traces; the "
+        "paper-relevant result here is the instruction-stream "
+        "reduction")
     return table, savings
 
 

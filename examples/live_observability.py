@@ -46,7 +46,7 @@ def main() -> None:
 
     print("trace-cache mutations, live:")
     with VM(SOURCE, obs=obs, start_state_delay=64,
-            optimize_traces=True, compile_backend="py") as vm:
+            optimize_traces=True) as vm:
         result = vm.run()
 
         print()

@@ -8,8 +8,9 @@ linked program across
 - the switch interpreter (the reference),
 - the threaded block interpreter,
 - the trace-dispatching controller under several aggressive
-  :data:`DIFF_PROFILES` (plain, chopped traces, IR executor, py
-  codegen, chopped py codegen),
+  :data:`DIFF_PROFILES` (plain, chopped traces, the optimizer with
+  codegen never firing, py codegen, chopped and link-aggressive py
+  codegen),
 - optionally the ``baselines/`` selector engines (dynamo, replay, ...),
 
 and compares, per engine pair, the *observables*: outcome kind (normal
@@ -49,6 +50,9 @@ __all__ = [
 
 REFERENCE_ENGINE = "switch"
 
+# A compile_threshold no trace's entry count ever reaches.
+NEVER_COMPILE = 10 ** 9
+
 # Aggressive trace-cache profiles: low thresholds and short delays so
 # even small generated programs form (and invalidate, and rebuild)
 # traces; chopped variants force many short traces and trace chaining.
@@ -57,16 +61,17 @@ DIFF_PROFILES: dict[str, TraceCacheConfig] = {
                               decay_period=16),
     "chop": TraceCacheConfig(threshold=0.55, start_state_delay=2,
                              decay_period=8, max_trace_blocks=8),
-    "ir": TraceCacheConfig(threshold=0.90, start_state_delay=4,
-                           decay_period=16, optimize_traces=True,
-                           compile_backend="ir"),
+    # The optimizer stack with codegen never firing: every trace runs
+    # on the block-path fallback, under links and superblocks.
+    "py-cold": TraceCacheConfig(threshold=0.90, start_state_delay=4,
+                                decay_period=16, optimize_traces=True,
+                                compile_threshold=NEVER_COMPILE),
     "py": TraceCacheConfig(threshold=0.90, start_state_delay=4,
                            decay_period=16, optimize_traces=True,
-                           compile_backend="py", compile_threshold=1),
+                           compile_threshold=1),
     "py-chop": TraceCacheConfig(threshold=0.55, start_state_delay=2,
                                 decay_period=8, max_trace_blocks=8,
                                 optimize_traces=True,
-                                compile_backend="py",
                                 compile_threshold=1),
     # Linking-aggressive: every observed exit edge links immediately,
     # loops superblock at the first opportunity, and short chopped
@@ -74,7 +79,6 @@ DIFF_PROFILES: dict[str, TraceCacheConfig] = {
     "py-link": TraceCacheConfig(threshold=0.70, start_state_delay=2,
                                 decay_period=8, max_trace_blocks=8,
                                 optimize_traces=True,
-                                compile_backend="py",
                                 compile_threshold=1,
                                 trace_linking=True, link_threshold=1,
                                 link_max_fanout=8, superblock_iters=3),

@@ -22,7 +22,7 @@ Commands:
   metric regresses beyond its noise-aware threshold.
 
 The trace-cache flags (``--threshold``, ``--delay``, ``--optimize``,
-``--backend``, ``--compile-threshold``) and the observability flags
+``--compile-threshold``) and the observability flags
 (``--events``, ``--chrome-trace``, ``--snapshot-every``) are defined
 once and accepted uniformly by ``run``, ``workload``, ``dump`` and
 ``baselines``.
@@ -63,7 +63,6 @@ def _config(args) -> TraceCacheConfig:
         threshold=getattr(args, "threshold", 0.97),
         start_state_delay=getattr(args, "delay", 64),
         optimize_traces=getattr(args, "optimize", False),
-        compile_backend=getattr(args, "backend", "py"),
         compile_threshold=getattr(args, "compile_threshold", 2),
         trace_linking=not getattr(args, "no_linking", False),
         superblock_iters=_default(
@@ -361,7 +360,7 @@ def cmd_profile_merge(args) -> int:
 # link and compile traces, so the warm path is exercised end to end.
 _PARITY_OVERRIDES = dict(
     threshold=0.90, start_state_delay=8, decay_period=32,
-    optimize_traces=True, compile_backend="py", compile_threshold=1,
+    optimize_traces=True, compile_threshold=1,
     trace_linking=True, link_threshold=2)
 
 
@@ -573,11 +572,8 @@ def _trace_flags() -> argparse.ArgumentParser:
                             "branch can enter traces)")
     group.add_argument("--optimize", action="store_true",
                        help="execute optimized (flattened) traces")
-    group.add_argument("--backend", choices=("ir", "py"), default="py",
-                       help="optimized-trace executor: interpret the IR "
-                            "or template-compile hot traces to Python")
     group.add_argument("--compile-threshold", type=int, default=2,
-                       help="trace executions before codegen kicks in")
+                       help="trace entries before codegen kicks in")
     group.add_argument("--no-linking", action="store_true",
                        help="disable trace-to-trace linking and "
                             "superblock growth (ablation)")

@@ -29,12 +29,9 @@ class TraceCacheConfig:
     # Future-work extension (paper Section 6): compile dispatched
     # traces to an optimized linear IR with guards.
     optimize_traces: bool = False
-    # How optimized traces execute: "ir" walks the flattened IR in the
-    # interpretive executor; "py" template-compiles hot traces into
-    # specialized Python functions (guards become inline conditionals).
-    compile_backend: str = "py"
-    # Trace executions before the "py" backend pays for codegen; cold
-    # traces stay on the IR executor.
+    # Trace entries before a trace is template-compiled into a
+    # specialized Python function (guards become inline conditionals);
+    # until then it runs block by block.
     compile_threshold: int = 2
     # Trace-to-trace linking (Dynamo-style exit patching): when a trace
     # exit is followed by another trace entry often enough, the exit is
@@ -72,10 +69,6 @@ class TraceCacheConfig:
             raise ValueError("max_trace_blocks < min_trace_blocks")
         if self.loop_unroll_copies < 1:
             raise ValueError("loop_unroll_copies must be >= 1")
-        if self.compile_backend not in ("ir", "py"):
-            raise ValueError(
-                f"compile_backend must be 'ir' or 'py', got "
-                f"{self.compile_backend!r}")
         if self.compile_threshold < 1:
             raise ValueError(
                 f"compile_threshold must be >= 1, got "

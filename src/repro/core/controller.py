@@ -10,6 +10,7 @@ behind the paper's overhead reduction (Section 4.1.2).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from ..jvm.linker import Program
@@ -65,8 +66,6 @@ class TraceController:
                                 bus=self._bus)
         self.profiler.signal_sink = self.cache.on_signal
         self.optimizer = None
-        self._run_compiled = None
-        self._codegen = False
         self._linker = None
         # The last trace exit (trace, blocks executed) — the linker's
         # edge source when the very next dispatch is another trace.
@@ -80,13 +79,10 @@ class TraceController:
         self.profile_info = None
         if self.config.optimize_traces:
             # Imported lazily: the optimizer is an optional layer.
-            from ..opt import TraceOptimizer, run_compiled
+            from ..opt import TraceOptimizer
             self.optimizer = TraceOptimizer(
-                backend=self.config.compile_backend,
                 compile_threshold=self.config.compile_threshold,
                 bus=self._bus)
-            self._run_compiled = run_compiled
-            self._codegen = self.optimizer.codecache is not None
             # When the cache unlinks a trace, drop its compiled forms.
             self.cache.invalidation_sink = self.optimizer.invalidate
             if self.config.trace_linking:
@@ -104,24 +100,28 @@ class TraceController:
         program.reset_statics()
         machine = Machine(program, self.max_instructions)
         stats = RunStats()
-        # The dispatch loop exists twice: the fast loop is byte-for-
-        # byte the unobserved hot path, the observed variant adds the
-        # snapshot countdown and run lifecycle events.  Splitting keeps
-        # the disabled-observability cost at exactly zero.
-        if self.obs is None:
-            self._run_fast(machine, stats)
-        else:
-            self._run_observed(machine, stats)
+        obs = self.obs
+        if obs is not None:
+            obs.begin_run(self, stats)
+        self._run(machine, stats)
+        if obs is not None:
+            obs.end_run(self, machine, stats)
         self._finalize(machine, stats)
         return RunResult(machine, stats, self.profiler, self.cache)
 
-    def _run_fast(self, machine: Machine, stats: RunStats) -> None:
+    def _run(self, machine: Machine, stats: RunStats) -> None:
         # Hot-loop locals: every attribute or global touched per
         # dispatch is bound once here.
         advance = self.profiler.advance
         execute = execute_block
         dispatch_trace = self._dispatch_trace
         linker = self._linker
+        obs = self.obs
+        snap_every = obs.snapshot_every if obs is not None else 0
+        # Dispatch total at which the next ``--snapshot-every`` snapshot
+        # is due; a sentinel the total never reaches when snapshots are
+        # off, so the unobserved loop pays one comparison per dispatch.
+        snap_at = snap_every or sys.maxsize
         current = machine.start()
         previous = None
         # Trace chaining: a completed trace whose very next dispatch is
@@ -132,6 +132,12 @@ class TraceController:
         last_was_trace = False
 
         while current is not None:
+            # Counted in dispatches, not loop iterations: linked
+            # transfers dispatch several traces per iteration.
+            total = stats.block_dispatches + stats.trace_dispatches
+            if total >= snap_at:
+                obs.take_snapshot(self, dispatches=total)
+                snap_at = total + snap_every
             if previous is not None:
                 node = advance(previous.bid, current)
                 trace = node.trace
@@ -155,55 +161,6 @@ class TraceController:
             previous = current
             current = nxt
 
-    def _run_observed(self, machine: Machine, stats: RunStats) -> None:
-        """The fast loop plus run lifecycle events, the ``run`` phase
-        span, and the ``--snapshot-every`` countdown."""
-        obs = self.obs
-        obs.begin_run(self, stats)
-        advance = self.profiler.advance
-        execute = execute_block
-        dispatch_trace = self._dispatch_trace
-        linker = self._linker
-        snap_every = obs.snapshot_every
-        snap_mark = 0
-        current = machine.start()
-        previous = None
-        last_was_trace = False
-
-        while current is not None:
-            dispatched = False
-            if previous is not None:
-                node = advance(previous.bid, current)
-                trace = node.trace
-                if trace is not None:
-                    stats.trace_dispatches += 1
-                    if last_was_trace:
-                        stats.trace_chains += 1
-                        if linker is not None:
-                            linker.record(self._exit_trace,
-                                          self._exit_executed, trace,
-                                          node)
-                            trace = node.trace
-                    last_was_trace = True
-                    previous, current = dispatch_trace(
-                        machine, trace, stats)
-                    dispatched = True
-            if not dispatched:
-                last_was_trace = False
-                stats.block_dispatches += 1
-                nxt = execute(machine, current)
-                previous = current
-                current = nxt
-            if snap_every:
-                # Counted in dispatches, not loop iterations: linked
-                # transfers dispatch several traces per iteration.
-                total = stats.block_dispatches + stats.trace_dispatches
-                if total - snap_mark >= snap_every:
-                    snap_mark = total
-                    obs.take_snapshot(self, dispatches=total)
-
-        obs.end_run(self, machine, stats)
-
     # ------------------------------------------------------------------
     def _dispatch_trace(self, machine: Machine, trace: Trace,
                         stats: RunStats):
@@ -222,25 +179,25 @@ class TraceController:
             count = len(blocks)
             before = machine.instr_count
 
-            if compiled is None and optimizer is not None:
-                compiled = optimizer.get(trace)
-            used_codegen = False
-            if compiled is not None:
-                # Hot path: an installed specialized function is one
-                # attribute load away; the backend_fn call (lazy
-                # install, threshold check) only runs while the trace
-                # is cold.
-                fn = compiled.py_fn
-                if fn is None and self._codegen:
-                    fn = optimizer.backend_fn(compiled)
-                if fn is not None:
-                    used_codegen = True
-                    frame = machine.frames[-1]
-                    executed, nxt, _completed = fn(
-                        machine, frame, frame.stack, frame.locals)
-                else:
-                    executed, nxt, _completed = self._run_compiled(
-                        machine, compiled)
+            # A trace runs one of two ways: its generated function, or
+            # block by block.  The block path covers cold traces, traces
+            # codegen declined, and traces that failed to flatten.
+            fn = None
+            if optimizer is not None:
+                if compiled is None:
+                    compiled = optimizer.get(trace)
+                if compiled is not None:
+                    # Hot path: an installed function is one attribute
+                    # load away; the backend_fn call (lazy install,
+                    # threshold check) only runs while the trace is
+                    # cold.
+                    fn = compiled.py_fn
+                    if fn is None:
+                        fn = optimizer.backend_fn(compiled)
+            if fn is not None:
+                frame = machine.frames[-1]
+                executed, nxt, _completed = fn(
+                    machine, frame, frame.stack, frame.locals)
             else:
                 executed = 0
                 current = blocks[0]
@@ -267,7 +224,7 @@ class TraceController:
                 stats.instr_in_partial += instructions
                 # A partial exit from generated code is a guard side
                 # exit.
-                if used_codegen and self._bus is not None:
+                if fn is not None and self._bus is not None:
                     self._bus.emit("codegen.side_exit",
                                    trace=trace.serial,
                                    executed=executed, of=count)
@@ -370,25 +327,19 @@ class TraceController:
         stats.anchors_replaced = cache_stats.anchors_replaced
         stats.traces_in_cache = len(self.cache)
         stats.superblock_traces = cache_stats.superblocks_grown
-        linker = self._linker
-        stats.links_installed = (linker.stats.links_installed
-                                 if linker is not None else 0)
         stats.bcg_nodes = len(self.profiler.bcg)
         stats.bcg_edges = self.profiler.bcg.edge_count
-        # Optimizer/codegen counters are set unconditionally (zeroed
-        # when the layer is off) so downstream consumers — the harness
-        # tables, reports — never meet a missing or stale attribute.
+        # Layer counters below keep RunStats' zero defaults when their
+        # layer is off, so consumers never meet a missing attribute.
+        linker = self._linker
+        if linker is not None:
+            stats.links_installed = linker.stats.links_installed
         optimizer = self.optimizer
         if optimizer is not None:
             stats.traces_compiled = optimizer.stats.traces_compiled
             stats.opt_static_savings = optimizer.stats.static_savings
             stats.opt_dynamic_savings = optimizer.dynamic_savings()
-        else:
-            stats.traces_compiled = 0
-            stats.opt_static_savings = 0
-            stats.opt_dynamic_savings = 0
-        codecache = optimizer.codecache if optimizer is not None else None
-        if codecache is not None:
+            codecache = optimizer.codecache
             cg = codecache.stats
             stats.codegen_traces_compiled = cg.traces_compiled
             stats.codegen_uncompilable = cg.traces_uncompilable
@@ -397,25 +348,11 @@ class TraceController:
             stats.codegen_source_bytes = cg.source_bytes
             stats.codegen_compile_seconds = cg.compile_seconds
             stats.codegen_side_exits = codecache.side_exits_total()
-        else:
-            stats.codegen_traces_compiled = 0
-            stats.codegen_uncompilable = 0
-            stats.codegen_cache_hits = 0
-            stats.codegen_cache_misses = 0
-            stats.codegen_source_bytes = 0
-            stats.codegen_compile_seconds = 0.0
-            stats.codegen_side_exits = 0
-        # Observability accounting (zeroed when the layer is off, like
-        # the codegen counters above).
         obs = self.obs
         if obs is not None:
             stats.events_emitted = obs.bus.emitted
             stats.events_suppressed = obs.bus.suppressed
             stats.obs_snapshots = obs.snapshots_taken
-        else:
-            stats.events_emitted = 0
-            stats.events_suppressed = 0
-            stats.obs_snapshots = 0
         self.last_run_stats = stats
 
 

@@ -42,9 +42,9 @@ class RunStats:
     traces_compiled: int = 0
     opt_static_savings: int = 0    # instructions removed from trace IR
     opt_dynamic_savings: int = 0   # original instrs skipped at runtime
-    # Template-codegen backend (config.compile_backend == "py").  All
-    # fields stay zeroed when the backend is off, so table builders can
-    # read them unconditionally.
+    # Template codegen (config.optimize_traces).  All fields stay
+    # zeroed when the optimizer is off, so table builders can read
+    # them unconditionally.
     codegen_traces_compiled: int = 0   # specialized functions installed
     codegen_uncompilable: int = 0      # traces the backend declined
     codegen_cache_hits: int = 0        # code objects shared by shape

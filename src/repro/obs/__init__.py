@@ -117,9 +117,7 @@ class Observability:
         bus = self.bus
         if bus.wants("vm.run_started"):
             bus.emit("vm.run_started",
-                     max_instructions=controller.max_instructions,
-                     backend=controller.config.compile_backend
-                     if controller.config.optimize_traces else None)
+                     max_instructions=controller.max_instructions)
 
     def end_run(self, controller, machine, stats) -> None:
         if self._run_started_at is not None:

@@ -58,7 +58,7 @@ KINDS: dict[str, str] = {
                                 "entry point",
     "constructor.walk_cut": "a node sequence was cut into a trace chunk",
     "constructor.walk_aborted": "a cut chunk was discarded (too short)",
-    # Codegen backend (the "py" template compiler).
+    # Codegen (the template compiler for hot traces).
     "codegen.compile": "a new trace shape was compiled to Python",
     "codegen.cache_hit": "a trace reused an already-compiled shape",
     "codegen.uncompilable": "codegen declined a trace (no template)",

@@ -2,22 +2,21 @@
 
 Flattens cached traces to a guarded linear IR, runs peephole passes
 (goto elimination, constant folding, IINC fusion, push/pop removal)
-and executes the result with block-exact semantics and accounting —
-either interpretively (:func:`run_compiled`, the "ir" backend) or via
-template-compiled specialized Python functions (:mod:`codegen` +
-:mod:`codecache`, the "py" backend).
+and template-compiles hot traces into specialized Python functions
+(:mod:`codegen` + :mod:`codecache`) with block-exact semantics and
+accounting.  Traces that are cold, declined by codegen, or not
+flattenable run block by block in the controller.
 """
 
 from .codecache import CodeCache, CodegenStats
 from .codegen import LoweredTrace, lower
-from .executor import run_compiled
 from .flatten import FlattenError, flatten
 from .ir import CompiledTrace, TraceInstr
 from .optimizer import OptimizerStats, TraceOptimizer
 from .passes import (drop_push_pop, fold_constants, forward_store_load,
                      fuse_iinc, optimize)
 
-__all__ = ["run_compiled", "FlattenError", "flatten", "CompiledTrace",
+__all__ = ["FlattenError", "flatten", "CompiledTrace",
            "TraceInstr", "OptimizerStats", "TraceOptimizer",
            "CodeCache", "CodegenStats", "LoweredTrace", "lower",
            "drop_push_pop", "fold_constants", "forward_store_load",

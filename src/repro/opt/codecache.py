@@ -43,7 +43,7 @@ class CodegenStats:
 
 
 class CodeCache:
-    """Compile-and-instantiate service for the "py" trace backend."""
+    """Compile-and-instantiate service for generated trace code."""
 
     # Process-wide memo of compile() results, shared by every cache
     # instance.  Generated source is the full structural identity of a
@@ -72,7 +72,7 @@ class CodeCache:
     def install(self, compiled: CompiledTrace):
         """Compile `compiled` to a specialized function and attach it
         as ``compiled.py_fn``; returns the function, or None when the
-        trace is not lowerable (the IR executor keeps it)."""
+        trace is not lowerable (it keeps running block by block)."""
         bus = self.bus
         serial = getattr(compiled.trace, "serial", None)
         lowered = lower(compiled)

@@ -1,10 +1,9 @@
 """Template compilation: flattened trace IR -> specialized Python source.
 
-The IR executor in :mod:`repro.opt.executor` still pays a per-IR-
-instruction ``if/elif`` walk; this module removes it by lowering each
-trace into one straight-line Python function that is ``compile()``d
-once and cached (see :mod:`repro.opt.codecache`).  The generated
-function has the exact ``run_compiled`` contract::
+Each hot trace is lowered into one straight-line Python function that
+is ``compile()``d once and cached (see :mod:`repro.opt.codecache`).
+The generated function returns exactly what block-by-block execution
+of the trace would::
 
     def trace_fn(machine, frame, stack, locals_):
         ...
@@ -20,16 +19,16 @@ Lowering rules:
 - **Guards** become inline conditionals whose failure branch restores
   the real operand stack, bumps the machine's instruction count by the
   block-exact prefix weight, and side-exits with
-  ``(blocks_executed, successor, False)`` — exactly matching
-  ``run_compiled``.
+  ``(blocks_executed, successor, False)`` — the block and successor at
+  which the block path would have left the trace.
 - **Calls, returns, natives and throws** are lowered inline with the
-  exact frame effects of the IR executor: the caller's virtual stack is
-  flushed to the real operand stack, the ``Frame`` is pushed/popped,
-  and the ``stack`` / ``locals_`` bindings are switched to the new top
-  frame.  Virtual-call entries, return continuations and throw handlers
-  keep their guards (side exits identical to ``run_compiled``).  A
-  return value re-enters the *caller's* virtual stack, so it can fuse
-  into the continuation without touching the operand stack.
+  exact frame effects of the original blocks: the caller's virtual
+  stack is flushed to the real operand stack, the ``Frame`` is
+  pushed/popped, and the ``stack`` / ``locals_`` bindings are switched
+  to the new top frame.  Virtual-call entries, return continuations
+  and throw handlers keep their guards.  A return value re-enters the
+  *caller's* virtual stack, so it can fuse into the continuation
+  without touching the operand stack.
 
 Per-trace objects (successor blocks, classes, the ``CompiledTrace``
 itself) are never embedded in the source; they are referenced through
@@ -267,8 +266,8 @@ class _Emitter:
 
 def lower(compiled: CompiledTrace) -> LoweredTrace | None:
     """Lower `compiled` to Python source, or None when the trace
-    contains an instruction this backend has no template for (the IR
-    executor keeps those)."""
+    contains an instruction this backend has no template for (those
+    traces keep running block by block)."""
     try:
         return _lower(compiled)
     except LowerError:
@@ -465,13 +464,13 @@ def _lower_vcall(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
 def _lower_ret(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
     """Return: pop the frame; the continuation block is guarded.  The
     return value re-enters the caller's *virtual* stack (the side exit
-    flushes it, matching the IR executor's eager append)."""
+    flushes it, matching the returning block's eager append)."""
     value = None
     if instr.op is not Op.RETURN:
         em.need(1)
         value = _capture(em, em.pop())
     # Anything left on the virtual stack belongs to the frame being
-    # discarded; the IR executor leaves it in the popped Frame object,
+    # discarded; the block path leaves it in the popped Frame object,
     # which nothing can reach — dropping it is equivalent.
     del em.vstack[:]
     em.uses_frames = True

@@ -11,7 +11,7 @@ produces one straight-line instruction list in which
   returns guarded on the callee / continuation the trace expects.
 
 Each IR instruction carries a `weight` — how many *original* bytecode
-instructions it represents — so the executor can keep the machine's
+instructions it represents — so generated code can keep the machine's
 instruction accounting identical to unoptimized execution, and the
 difference ``weight - 1`` summed over the stream is exactly the
 optimizer's savings along the completion path.
@@ -75,15 +75,17 @@ class CompiledTrace:
     # block_weight_prefix[j] = original instructions in blocks[0:j];
     # used for block-exact accounting on side exits.
     block_weight_prefix: list[int] = field(default_factory=list)
-    # Per-execution statistics:
+    # Runs of the generated function (block-path runs are not counted):
     executions: int = 0
     guard_failures: int = 0
-    # Template-compiled ("py" backend) form, installed lazily once the
-    # trace is hot.  `py_fn(machine, frame, stack, locals_)` has the
-    # exact `run_compiled` contract; None when not (yet) compiled.
+    # Template-compiled form, installed lazily once the trace is hot.
+    # `py_fn(machine, frame, stack, locals_)` returns
+    # ``(blocks_executed, successor_block, completed)`` exactly as
+    # block-by-block execution of the trace would; None when not (yet)
+    # compiled.
     py_fn: object = None
     py_uncompilable: bool = False    # codegen declined this trace
-    side_exit_counts: list | None = None   # per-guard exits (py backend)
+    side_exit_counts: list | None = None   # per-guard exits
 
     @property
     def optimized_instr_count(self) -> int:

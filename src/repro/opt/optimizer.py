@@ -38,18 +38,17 @@ class OptimizerStats:
 class TraceOptimizer:
     """Compiles traces to optimized linear IR, with caching.
 
-    With ``backend="py"`` the optimizer also owns a :class:`CodeCache`
-    and template-compiles each trace into a specialized Python function
-    once it has run ``compile_threshold`` times on the IR executor
-    (cold traces never pay codegen)."""
+    The optimizer owns a :class:`CodeCache` and template-compiles each
+    trace into a specialized Python function once the trace has been
+    entered ``compile_threshold`` times (cold traces never pay
+    codegen; until then they run block by block)."""
 
-    def __init__(self, enable_passes: bool = True, backend: str = "ir",
+    def __init__(self, enable_passes: bool = True,
                  compile_threshold: int = 2, bus=None) -> None:
         self.enable_passes = enable_passes
-        self.backend = backend
         self.compile_threshold = compile_threshold
         self.bus = bus              # repro.obs EventBus, or None
-        self.codecache = CodeCache(bus=bus) if backend == "py" else None
+        self.codecache = CodeCache(bus=bus)
         self.compiled: dict[int, CompiledTrace] = {}    # id(trace) ->
         self.unoptimizable: set[int] = set()
         self.stats = OptimizerStats()
@@ -78,13 +77,13 @@ class TraceOptimizer:
 
     def backend_fn(self, compiled: CompiledTrace):
         """The specialized function for `compiled`, compiling it now if
-        the trace just crossed the hotness threshold; None while cold,
-        uncompilable, or when the backend is "ir"."""
+        the trace just crossed the hotness threshold; None while cold
+        or uncompilable."""
         fn = compiled.py_fn
         if fn is not None:
             return fn
-        if (self.codecache is None or compiled.py_uncompilable
-                or compiled.executions < self.compile_threshold):
+        if (compiled.py_uncompilable
+                or compiled.trace.entries < self.compile_threshold):
             return None
         return self.codecache.install(compiled)
 
@@ -103,7 +102,7 @@ class TraceOptimizer:
 
     def dynamic_savings(self) -> int:
         """Original instructions *not* executed thanks to optimization,
-        summed over completed executions of compiled traces."""
+        summed over completed runs of generated trace code."""
         total = 0
         for compiled in self.compiled.values():
             completions = max(

@@ -17,17 +17,16 @@ Size tiers are ``tiny`` (CI smoke), ``small`` (default dev runs) and
 
 Groups registered here:
 
-- ``dispatch.<workload>.<ir|py>`` — wall-clock and per-phase seconds
-  of the optimized-trace executors on the three hottest workloads
-  (the PR-1 speedup this repo must not silently lose).
+- ``dispatch.<workload>.py`` — wall-clock and per-phase seconds of
+  the compiled-trace stack on the three hottest workloads.
 - ``obs.<workload>.<off|unwatched|full>`` — observability overhead
   modes (the PR-2 "disabled must be free" bar).
 - ``table1.<workload>`` — average executed trace length and coverage
   at the paper's default threshold (trace *quality*, deterministic).
 - ``table7.<workload>`` — modeled trace-dispatch overhead fraction
   (the paper's bottom-line claim).
-- ``linking.<workload>.<linked|nolink>`` — the py backend with trace-
-  to-trace linking on vs. ablated, quantifying the controller-round-
+- ``linking.<workload>.<linked|nolink>`` — the compiled-trace stack
+  with trace-to-trace linking on vs. ablated, quantifying the controller-round-
   trip savings of direct trace transfers and superblocks.
 - ``warmstart.<workload>.<cold|warm>`` — time from run start to the
   first compiled-trace installation, with the VM starting empty vs.
@@ -55,19 +54,17 @@ _TIER_TO_WORKLOAD_SIZE = {"tiny": "tiny", "small": "small",
                           "full": "paper"}
 _TIER_ALIASES = {"paper": "full"}
 
-#: The hottest, most trace-dominated workloads — where backend and
+#: The hottest, most trace-dominated workloads — where dispatch and
 #: observability regressions actually show up.
 HOT_WORKLOADS = ("compressx", "raytracex", "scimarkx")
 
 #: TraceCacheConfig keyword profiles the matrix multiplies over.
 CONFIG_PROFILES: dict[str, dict] = {
     "plain": {},
-    "ir": {"optimize_traces": True, "compile_backend": "ir"},
-    "py": {"optimize_traces": True, "compile_backend": "py"},
-    # The py backend with trace-to-trace linking ablated: the control
+    "py": {"optimize_traces": True},
+    # The py profile with trace-to-trace linking ablated: the control
     # arm of the `linking` group.
-    "py-nolink": {"optimize_traces": True, "compile_backend": "py",
-                  "trace_linking": False},
+    "py-nolink": {"optimize_traces": True, "trace_linking": False},
 }
 
 #: Config keys applied on top of every profile (CLI ablation flags,
@@ -492,12 +489,11 @@ def _build_registry() -> dict[str, BenchCase]:
         cases[case.id] = case
 
     for workload in HOT_WORKLOADS:
-        for profile in ("ir", "py"):
-            add(BenchCase(
-                id=f"dispatch.{workload}.{profile}",
-                group="dispatch", workload=workload, profile=profile,
-                metrics=_DISPATCH_METRICS,
-                measure=_measure_dispatch))
+        add(BenchCase(
+            id=f"dispatch.{workload}.py",
+            group="dispatch", workload=workload, profile="py",
+            metrics=_DISPATCH_METRICS,
+            measure=_measure_dispatch))
     for variant in ("off", "unwatched", "full"):
         add(BenchCase(
             id=f"obs.compressx.{variant}",

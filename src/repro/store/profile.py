@@ -16,8 +16,8 @@ schema-pinned JSON document (``*.rprof``):
   time (the "serial collision" conflict a merge must resolve).
 - **Link edges** — installed trace-to-trace links, keyed by source
   trace, blocks executed at the exit, and successor block id.
-- **Codecache structural keys** — the generated source texts the "py"
-  backend compiled.  The source *is* the structural identity of a
+- **Codecache structural keys** — the generated source texts codegen
+  compiled.  The source *is* the structural identity of a
   trace shape (:mod:`repro.opt.codecache`), so a warm start can
   ``compile()`` them offline, before the first dispatch.
 
@@ -30,7 +30,7 @@ Two fingerprints pin what a store may legally seed:
   :class:`~repro.core.config.TraceCacheConfig` (threshold, delays,
   decay, counter width, trace-length bounds), because counters and
   summaries are only meaningful under the config that produced them.
-  Executor-side knobs (backend choice, compile/link thresholds) are
+  Executor-side knobs (compile/link thresholds) are
   deliberately free: a profile is a statement about the *program*, not
   about who runs it.
 
@@ -56,7 +56,7 @@ PROFILE_KIND = "repro-profile"
 
 #: TraceCacheConfig fields that define profile semantics.  Two configs
 #: with equal values here produce interchangeable counter/summary/trace
-#: data; everything else (backend, compile/link thresholds) only
+#: data; everything else (compile/link thresholds) only
 #: changes who *consumes* the profile.
 CONFIG_FINGERPRINT_FIELDS = (
     "threshold", "start_state_delay", "decay_period", "counter_bits",

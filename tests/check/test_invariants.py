@@ -14,7 +14,7 @@ from repro.obs import Observability
 AGGRESSIVE = TraceCacheConfig(threshold=0.55, start_state_delay=2,
                               decay_period=8, max_trace_blocks=8,
                               optimize_traces=True,
-                              compile_backend="py", compile_threshold=1)
+                              compile_threshold=1)
 
 
 def _checked_run(program, config=AGGRESSIVE):

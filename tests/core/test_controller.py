@@ -168,3 +168,39 @@ class TestProfilerTraceInteraction:
         stats = run_traced(counting_program).stats
         assert stats.coverage > 0.5
         assert stats.completion_rate > 0.9
+
+
+class TestSingleLoop:
+    """Observability wraps the one dispatch loop; it never changes it."""
+
+    CONFIG = TraceCacheConfig(start_state_delay=4, decay_period=16,
+                              optimize_traces=True, compile_threshold=1,
+                              link_threshold=2)
+
+    def counters(self, program, obs):
+        from repro import VM
+        stats = VM(program, config=self.CONFIG, obs=obs).run().stats
+        return (stats.block_dispatches, stats.trace_dispatches,
+                stats.linked_transfers, stats.instr_total)
+
+    def test_observed_runs_dispatch_identically(self, counting_program):
+        from repro import Observability
+        plain = self.counters(counting_program, None)
+        assert plain[2] > 0          # links fire inside the loop
+        assert self.counters(counting_program,
+                             Observability(history=0)) == plain
+        assert self.counters(counting_program,
+                             Observability(snapshot_every=1)) == plain
+
+    @pytest.mark.parametrize("every", [1, 50])
+    def test_snapshots_spaced_by_dispatches(self, counting_program, every):
+        from repro import Observability
+        obs = Observability(history=0, snapshot_every=every,
+                            snapshot_history=10_000)
+        self.counters(counting_program, obs)
+        marks = [snap["dispatches"] for snap in obs.snapshots]
+        assert len(marks) > 2
+        # The last snapshot is the end-of-run one, taken at the total.
+        periodic = marks[:-1]
+        assert all(b - a >= every for a, b in zip(periodic, periodic[1:]))
+        assert marks[-1] > periodic[-1]

@@ -208,7 +208,7 @@ class Main {
 
 def linking_config(**overrides):
     base = dict(start_state_delay=8, optimize_traces=True,
-                compile_backend="py", compile_threshold=1,
+                compile_threshold=1,
                 link_threshold=2)
     base.update(overrides)
     return TraceCacheConfig(**base)

@@ -1,9 +1,12 @@
-"""The structural event stream is backend-independent.
+"""The structural event stream is execution-mode-independent.
 
-Profiling, trace construction, and cache mutations are driven by block
-dispatch — which backend executes an installed trace must not change
-what the profiler sees.  Codegen events (``codegen.*``) and the
-``vm.run_started`` backend tag are the only permitted differences.
+Profiling, trace construction, and cache mutations are driven by
+dispatch — whether an installed trace runs as generated code or block
+by block must not change what the profiler sees.  The same program runs
+with every trace compiled at its first hot entry
+(``compile_threshold=1``) and with no trace ever compiled (a threshold
+no entry count reaches); codegen events (``codegen.*``) are the only
+permitted difference.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import VM, Observability
+from repro.check.differential import NEVER_COMPILE
 from repro.lang import compile_source
 
 SOURCE = """
@@ -33,11 +37,14 @@ class Main {
 
 STRUCTURAL = ("profiler", "cache", "constructor")
 
+COMPILED = 1
+NEVER = NEVER_COMPILE
 
-def observed_run(backend):
+
+def observed_run(compile_threshold):
     obs = Observability()
     vm = VM(compile_source(SOURCE), obs=obs, start_state_delay=16,
-            optimize_traces=True, compile_backend=backend)
+            optimize_traces=True, compile_threshold=compile_threshold)
     result = vm.run()
     structural = [(e.kind, e.data) for e in obs.events
                   if e.category in STRUCTURAL]
@@ -47,25 +54,23 @@ def observed_run(backend):
 
 @pytest.fixture(scope="module")
 def runs():
-    return {"ir": observed_run("ir"), "py": observed_run("py")}
+    return {mode: observed_run(mode) for mode in (COMPILED, NEVER)}
 
 
 class TestBackendParity:
     def test_results_identical(self, runs):
-        ir_result, py_result = runs["ir"][0], runs["py"][0]
-        assert ir_result.value == py_result.value
-        assert ir_result.stats.total_dispatches \
-            == py_result.stats.total_dispatches
+        compiled, blocks = runs[COMPILED][0], runs[NEVER][0]
+        assert compiled.value == blocks.value
+        assert compiled.stats.instr_total == blocks.stats.instr_total
+        assert compiled.stats.total_dispatches \
+            == blocks.stats.total_dispatches
 
     def test_structural_event_streams_identical(self, runs):
-        ir_events, py_events = runs["ir"][1], runs["py"][1]
-        assert ir_events          # the workload must actually trace
-        assert ir_events == py_events
+        compiled, blocks = runs[COMPILED][1], runs[NEVER][1]
+        assert compiled          # the workload must actually trace
+        assert compiled == blocks
 
-    def test_codegen_events_only_on_py_backend(self, runs):
-        ir_kinds, py_kinds = runs["ir"][2], runs["py"][2]
-        # linked_transfer is emitted by the dispatch trampoline, which
-        # is backend-independent; every other codegen.* kind is py-only.
-        assert not {k for k in ir_kinds if k.startswith("codegen.")
-                    and k != "codegen.linked_transfer"}
-        assert "codegen.compile" in py_kinds
+    def test_no_codegen_under_unreachable_threshold(self, runs):
+        assert "codegen.compile" in runs[COMPILED][2]
+        assert "codegen.compile" not in runs[NEVER][2]
+        assert runs[NEVER][0].stats.codegen_traces_compiled == 0

@@ -48,7 +48,7 @@ def observed_run(tmp_path, program):
                         chrome_trace_path=str(chrome_path),
                         snapshot_every=2_000)
     vm = VM(program, obs=obs, start_state_delay=16,
-            optimize_traces=True, compile_backend="py")
+            optimize_traces=True)
     vm.run()
     vm.close()
     return vm, obs, events_path, chrome_path

@@ -40,8 +40,7 @@ def program():
 
 class TestFullyDisabled:
     def test_default_wires_no_bus_anywhere(self, program):
-        vm = VM(program, start_state_delay=16, optimize_traces=True,
-                compile_backend="py")
+        vm = VM(program, start_state_delay=16, optimize_traces=True)
         assert vm.obs is None
         assert vm.controller.obs is None
         assert vm.controller.profiler.bus is None
@@ -64,7 +63,7 @@ class TestSuppressedFastPath:
         """A subscriber-free bus must never construct an Event, even
         across a full run exercising every instrumentation point."""
         baseline = VM(program, start_state_delay=16,
-                      optimize_traces=True, compile_backend="py").run()
+                      optimize_traces=True).run()
 
         obs = Observability(history=0)       # wired, nobody listening
         assert not obs.bus.active
@@ -74,7 +73,7 @@ class TestSuppressedFastPath:
         monkeypatch.setattr(bus_module, "Event", boom)
 
         vm = VM(program, obs=obs, start_state_delay=16,
-                optimize_traces=True, compile_backend="py")
+                optimize_traces=True)
         assert vm.controller.profiler.bus is obs.bus
         result = vm.run()
         assert result.value == baseline.value
@@ -85,7 +84,7 @@ class TestSuppressedFastPath:
     def test_timers_still_account_when_unwatched(self, program):
         obs = Observability(history=0)
         vm = VM(program, obs=obs, start_state_delay=16,
-                optimize_traces=True, compile_backend="py")
+                optimize_traces=True)
         vm.run()
         assert obs.timers.seconds("run") > 0
         assert obs.timers.counts["construct"] >= 1

@@ -17,7 +17,7 @@ AGGRESSIVE = dict(start_state_delay=4, decay_period=16)
 def run_py(source: str, compile_threshold: int = 1):
     controller = TraceController(
         compile_source(source),
-        TraceCacheConfig(optimize_traces=True, compile_backend="py",
+        TraceCacheConfig(optimize_traces=True,
                          compile_threshold=compile_threshold,
                          **AGGRESSIVE))
     return controller, controller.run()
@@ -169,7 +169,7 @@ class TestInvalidation:
 class TestUncompilable:
     def _bogus_trace(self):
         return CompiledTrace(
-            trace=SimpleNamespace(blocks=(None, None)),
+            trace=SimpleNamespace(blocks=(None, None), entries=0),
             instrs=[TraceInstr("no-such-kind")],
             final_block=None,
             original_instr_count=2,
@@ -186,12 +186,32 @@ class TestUncompilable:
         assert cache.stats.traces_uncompilable == 1
 
     def test_backend_fn_falls_back_forever(self):
-        optimizer = TraceOptimizer(backend="py", compile_threshold=1)
+        optimizer = TraceOptimizer(compile_threshold=1)
         compiled = self._bogus_trace()
-        compiled.executions = 10
+        compiled.trace.entries = 10
         assert optimizer.backend_fn(compiled) is None
         assert optimizer.backend_fn(compiled) is None   # cached decline
         assert optimizer.codecache.stats.traces_uncompilable == 1
+
+
+class TestDeclinedFallback:
+    def test_declined_traces_run_on_block_path(self, monkeypatch):
+        """With codegen declining every trace, dispatch falls back to
+        block-by-block execution and stays exact."""
+        import repro.opt.codecache as codecache
+        from repro.core import run_traced
+        from repro.workloads import load_workload
+
+        monkeypatch.setattr(codecache, "lower", lambda compiled: None)
+        program = load_workload("compressx", "tiny")
+        ref = ThreadedInterpreter(program).run()
+        result = run_traced(program, TraceCacheConfig(
+            optimize_traces=True, compile_threshold=1, **AGGRESSIVE))
+        assert result.value == ref.result
+        assert result.output == ref.output
+        assert result.stats.instr_total == ref.instr_count
+        assert result.stats.codegen_uncompilable > 0
+        assert result.stats.codegen_traces_compiled == 0
 
 
 class TestWrapElision:

@@ -41,8 +41,7 @@ class TestTiers:
 
 class TestProfiles:
     def test_known_profiles(self):
-        assert set(CONFIG_PROFILES) == {"plain", "ir", "py",
-                                        "py-nolink"}
+        assert set(CONFIG_PROFILES) == {"plain", "py", "py-nolink"}
 
     @pytest.mark.parametrize("profile", sorted(CONFIG_PROFILES))
     def test_profile_config_builds(self, profile):
@@ -51,7 +50,6 @@ class TestProfiles:
             assert not config.optimize_traces
         else:
             assert config.optimize_traces
-            assert config.compile_backend == profile.split("-")[0]
 
     def test_nolink_profile_ablates_linking(self):
         assert profile_config("py").trace_linking
@@ -130,12 +128,11 @@ class TestSelect:
     def test_group_name_selects_whole_group(self):
         cases = select(["dispatch"])
         assert cases and all(c.group == "dispatch" for c in cases)
-        assert {c.profile for c in cases} == {"ir", "py"}
+        assert {c.profile for c in cases} == {"py"}
 
     def test_glob_selects_by_id(self):
         cases = select(["dispatch.compressx.*"])
-        assert {c.id for c in cases} == {"dispatch.compressx.ir",
-                                         "dispatch.compressx.py"}
+        assert {c.id for c in cases} == {"dispatch.compressx.py"}
 
     def test_select_deduplicates_overlap(self):
         cases = select(["dispatch", "dispatch.compressx.py"])

@@ -29,8 +29,7 @@ class Main {
 """
 
 CONFIG = TraceCacheConfig(start_state_delay=8, decay_period=32,
-                          optimize_traces=True, compile_backend="py",
-                          compile_threshold=1)
+                          optimize_traces=True, compile_threshold=1)
 
 
 def _profile(program, max_instructions):

@@ -42,8 +42,7 @@ class Main {
 """
 
 CONFIG = TraceCacheConfig(start_state_delay=8, decay_period=32,
-                          optimize_traces=True, compile_backend="py",
-                          compile_threshold=1)
+                          optimize_traces=True, compile_threshold=1)
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +192,8 @@ class TestCompatibility:
 
     def test_executor_knobs_are_free(self, store, program):
         import dataclasses
-        other = dataclasses.replace(CONFIG, compile_backend="ir",
-                                    compile_threshold=7)
+        other = dataclasses.replace(CONFIG, compile_threshold=7,
+                                    link_threshold=3)
         store.check_compatible(program, other)
 
     def test_vm_load_rejects_mismatch(self, store, tmp_path):

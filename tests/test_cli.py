@@ -151,14 +151,12 @@ class TestParser:
     def test_shared_flags_accepted_everywhere(self, command):
         args = build_parser().parse_args(
             command + ["--threshold", "0.9", "--delay", "8",
-                       "--optimize", "--backend", "ir",
-                       "--compile-threshold", "3",
+                       "--optimize", "--compile-threshold", "3",
                        "--events", "e.jsonl", "--chrome-trace", "t.json",
                        "--snapshot-every", "500"])
         assert args.threshold == 0.9
         assert args.delay == 8
         assert args.optimize is True
-        assert args.backend == "ir"
         assert args.compile_threshold == 3
         assert args.events == "e.jsonl"
         assert args.chrome_trace == "t.json"

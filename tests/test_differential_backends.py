@@ -4,8 +4,9 @@ Every check feeds a mini-Java program through
 :func:`repro.check.assert_equivalent`, which runs the switch
 interpreter (reference), the threaded interpreter, and the trace
 controller under all :data:`~repro.check.differential.DIFF_PROFILES` —
-including the ``optimize_traces=False`` profiles (``plain``/``chop``)
-and both compiled backends (``ir``/``py``) — and requires agreement on
+including the ``optimize_traces=False`` profiles (``plain``/``chop``),
+the never-compiling ``py-cold`` fallback and the ``py`` codegen
+profiles — and requires agreement on
 outcome, value, output, instruction count, and the statics snapshot.
 """
 
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import assert_equivalent
-from repro.check.differential import DIFF_PROFILES, run_differential
+from repro.check.differential import (DIFF_PROFILES, NEVER_COMPILE,
+                                      run_differential)
 from repro.lang import compile_source
 from repro.workloads import WORKLOAD_NAMES, load_workload
 from tests.conftest import int_main
@@ -26,13 +28,17 @@ from tests.test_integration import _branchy_program
 class TestProfileCoverage:
     def test_profiles_span_the_backend_matrix(self):
         """The default profile set must keep exercising unoptimized
-        trace dispatch alongside both compile backends."""
+        trace dispatch alongside both ways an optimized trace runs:
+        generated code, and the block-path fallback of traces that
+        never get hot enough to compile."""
         unoptimized = [n for n, c in DIFF_PROFILES.items()
                        if not c.optimize_traces]
-        backends = {c.compile_backend for c in DIFF_PROFILES.values()
-                    if c.optimize_traces}
+        optimized = [c for c in DIFF_PROFILES.values()
+                     if c.optimize_traces]
         assert len(unoptimized) >= 2
-        assert backends == {"ir", "py"}
+        assert any(c.compile_threshold == 1 for c in optimized)
+        assert any(c.compile_threshold >= NEVER_COMPILE
+                   for c in optimized)
 
 
 class TestWorkloads:
@@ -44,6 +50,12 @@ class TestWorkloads:
         py = report.results["py"]
         assert py.stats.codegen_traces_compiled > 0, name
         assert py.stats.codegen_uncompilable == 0, name
+        # py-cold never compiles, so its links and superblocks all ran
+        # on the block path.
+        cold = report.results["py-cold"]
+        assert cold.stats.codegen_traces_compiled == 0, name
+        assert cold.stats.linked_transfers > 0, name
+        assert cold.stats.superblock_traces > 0, name
 
 
 class TestControlFlowShapes:
@@ -93,7 +105,7 @@ class TestControlFlowShapes:
 
     def test_fdiv_nan_semantics(self):
         # Regression for the NaN/0.0 bug, driven through hot traces so
-        # both backends execute the generated/IR FDIV path.
+        # generated code and the block path both execute FDIV.
         assert_equivalent(compile_source("""
             class Main {
                 static int main() {
