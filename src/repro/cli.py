@@ -171,10 +171,12 @@ def cmd_workload(args) -> int:
           f"{stats.dispatches_per_trace_event / 1000:.1f}")
     print(f"  dispatch reduction    : {stats.dispatch_reduction:.1%}")
     print(f"  trace chain rate      : {stats.chain_rate:.1%}")
-    if stats.codegen_traces_compiled or stats.codegen_uncompilable:
+    if (stats.codegen_traces_compiled or stats.codegen_blocks_compiled
+            or stats.codegen_uncompilable):
         hits, misses = stats.codegen_cache_hits, stats.codegen_cache_misses
         print(f"  codegen: {stats.codegen_traces_compiled} traces "
               f"compiled ({stats.codegen_uncompilable} declined), "
+              f"{stats.codegen_blocks_compiled} lone blocks, "
               f"{misses} shapes + {hits} shared, "
               f"{stats.codegen_source_bytes:,} source bytes in "
               f"{stats.codegen_compile_seconds * 1000:.1f}ms, "

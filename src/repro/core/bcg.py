@@ -92,6 +92,9 @@ class BranchCorrelationGraph:
 
     def __init__(self, config: TraceCacheConfig) -> None:
         self.config = config
+        # The config is frozen; read once here instead of through its
+        # property on every recorded succession.
+        self.counter_max = config.counter_max
         self.nodes: dict[tuple, BranchNode] = {}
         self.decay_count = 0
         self.edges_created = 0
@@ -129,7 +132,7 @@ class BranchCorrelationGraph:
             prev.edges[node.dst] = edge
             node.in_keys.add(prev.key)
             self.edges_created += 1
-        if edge.weight < self.config.counter_max:
+        if edge.weight < self.counter_max:
             edge.weight += 1
             prev.total += 1
         predicted = prev.predicted
@@ -152,7 +155,7 @@ class BranchCorrelationGraph:
         self.decay_count += 1
         bus = self.bus
         if bus is not None and bus.wants("profiler.counter_saturated"):
-            cap = self.config.counter_max
+            cap = self.counter_max
             saturated = [z for z, edge in node.edges.items()
                          if edge.weight >= cap]
             if saturated:
@@ -217,7 +220,7 @@ class BranchCorrelationGraph:
                 if key not in edge.target.in_keys:
                     errors.append(
                         f"edge {key}->{z} missing back-reference")
-                if edge.weight < 0 or edge.weight > self.config.counter_max:
+                if edge.weight < 0 or edge.weight > self.counter_max:
                     errors.append(
                         f"edge {key}->{z} weight {edge.weight} out of "
                         f"range")

@@ -80,8 +80,13 @@ class TraceController:
         if self.config.optimize_traces:
             # Imported lazily: the optimizer is an optional layer.
             from ..opt import TraceOptimizer
+            # A lone block compiles after the dispatches a trace needs
+            # to form (start_state_delay) and then to compile
+            # (compile_threshold): 128 at the defaults.
             self.optimizer = TraceOptimizer(
                 compile_threshold=self.config.compile_threshold,
+                block_threshold=self.config.start_state_delay
+                * self.config.compile_threshold,
                 bus=self._bus)
             # When the cache unlinks a trace, drop its compiled forms.
             self.cache.invalidation_sink = self.optimizer.invalidate
@@ -116,6 +121,10 @@ class TraceController:
         execute = execute_block
         dispatch_trace = self._dispatch_trace
         linker = self._linker
+        # Lone blocks: compiled functions once hot (optimizer only).
+        optimizer = self.optimizer
+        block_fns = optimizer.block_fns if optimizer is not None else None
+        run_block = optimizer.run_block if optimizer is not None else None
         obs = self.obs
         snap_every = obs.snapshot_every if obs is not None else 0
         # Dispatch total at which the next ``--snapshot-every`` snapshot
@@ -157,7 +166,12 @@ class TraceController:
                     continue
             last_was_trace = False
             stats.block_dispatches += 1
-            nxt = execute(machine, current)
+            if block_fns is None:
+                nxt = execute(machine, current)
+            else:
+                fn = block_fns.get(current)
+                nxt = fn(machine) if fn is not None \
+                    else run_block(machine, current)
             previous = current
             current = nxt
 
@@ -342,6 +356,7 @@ class TraceController:
             codecache = optimizer.codecache
             cg = codecache.stats
             stats.codegen_traces_compiled = cg.traces_compiled
+            stats.codegen_blocks_compiled = cg.blocks_compiled
             stats.codegen_uncompilable = cg.traces_uncompilable
             stats.codegen_cache_hits = cg.cache_hits
             stats.codegen_cache_misses = cg.cache_misses

@@ -46,6 +46,7 @@ class RunStats:
     # zeroed when the optimizer is off, so table builders can read
     # them unconditionally.
     codegen_traces_compiled: int = 0   # specialized functions installed
+    codegen_blocks_compiled: int = 0   # lone-block functions installed
     codegen_uncompilable: int = 0      # traces the backend declined
     codegen_cache_hits: int = 0        # code objects shared by shape
     codegen_cache_misses: int = 0      # distinct shapes compiled

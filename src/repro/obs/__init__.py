@@ -111,6 +111,8 @@ class Observability:
         if codecache is not None:
             codecache.install = self.timers.wrap(
                 "codegen", codecache.install)
+            codecache.install_block = self.timers.wrap(
+                "codegen", codecache.install_block)
 
     def begin_run(self, controller, stats) -> None:
         self._run_started_at = self.timers.clock()

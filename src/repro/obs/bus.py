@@ -58,9 +58,11 @@ KINDS: dict[str, str] = {
                                 "entry point",
     "constructor.walk_cut": "a node sequence was cut into a trace chunk",
     "constructor.walk_aborted": "a cut chunk was discarded (too short)",
-    # Codegen (the template compiler for hot traces).
-    "codegen.compile": "a new trace shape was compiled to Python",
-    "codegen.cache_hit": "a trace reused an already-compiled shape",
+    # Codegen (the template compiler for hot traces and lone blocks).
+    "codegen.compile": "a new trace or block shape was compiled to "
+                       "Python",
+    "codegen.cache_hit": "a trace or block reused an already-compiled "
+                         "shape",
     "codegen.uncompilable": "codegen declined a trace (no template)",
     "codegen.side_exit": "a compiled trace guard-exited early",
     "codegen.invalidation_drop": "a compiled form was dropped because "

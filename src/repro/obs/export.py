@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 
-SNAPSHOT_SCHEMA = 3
+SNAPSHOT_SCHEMA = 4
 
 # Microseconds; the trace-event format's native unit.
 _US = 1e6
@@ -150,6 +150,7 @@ def build_snapshot(controller, *, dispatches: int | None = None) -> dict:
         codegen = {
             "enabled": True,
             "traces_compiled": cg.traces_compiled,
+            "blocks_compiled": cg.blocks_compiled,
             "uncompilable": cg.traces_uncompilable,
             "cache_hits": cg.cache_hits,
             "cache_misses": cg.cache_misses,
@@ -160,7 +161,8 @@ def build_snapshot(controller, *, dispatches: int | None = None) -> dict:
         }
     else:
         codegen = {
-            "enabled": False, "traces_compiled": 0, "uncompilable": 0,
+            "enabled": False, "traces_compiled": 0, "blocks_compiled": 0,
+            "uncompilable": 0,
             "cache_hits": 0, "cache_misses": 0, "shared_hits": 0,
             "source_bytes": 0, "compile_seconds": 0.0, "side_exits": 0,
         }

@@ -1,4 +1,4 @@
-"""Structural-hash-keyed cache of compiled trace code objects.
+"""Structural-hash-keyed cache of compiled trace and block code objects.
 
 :func:`repro.opt.codegen.lower` symbolizes every per-trace object into
 a constant slot, so the generated source text *is* the structural
@@ -6,10 +6,12 @@ identity of a trace shape.  The cache keys ``compile()``d code objects
 by that text: two traces with identical shapes share one code object
 and only pay a cheap ``exec`` to bind their own constants — the same
 dedup move the trace cache itself makes with its block-sequence hash
-table.
+table.  Lone-block functions (:func:`repro.opt.codegen.lower_block`)
+share the same cache and memo.
 
-Instantiation binds, per trace: the constant pool (``C0..Cn``), the
-shared helper functions, and a fresh per-guard side-exit counter list.
+Instantiation binds, per trace or block: the constant pool
+(``C0..Cn``), the shared helper functions, and for a trace a fresh
+per-guard side-exit counter list.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .codegen import HELPERS, TRACE_FN_NAME, lower
+from .codegen import (BLOCK_FN_NAME, HELPERS, TRACE_FN_NAME, LoweredTrace,
+                      lower, lower_block)
 from .ir import CompiledTrace
 
 
@@ -26,8 +29,9 @@ class CodegenStats:
     """Aggregate statistics of the template-compilation backend."""
 
     traces_compiled: int = 0        # specialized functions installed
+    blocks_compiled: int = 0        # lone-block functions installed
     traces_uncompilable: int = 0    # declined (no lowering template)
-    cache_hits: int = 0             # code object reused across traces
+    cache_hits: int = 0             # code object reused by shape
     cache_misses: int = 0           # distinct shapes this cache needed
     shared_hits: int = 0            # shapes adopted from the process
                                     # memo without paying compile()
@@ -43,7 +47,8 @@ class CodegenStats:
 
 
 class CodeCache:
-    """Compile-and-instantiate service for generated trace code."""
+    """Compile-and-instantiate service for generated trace and block
+    code."""
 
     # Process-wide memo of compile() results, shared by every cache
     # instance.  Generated source is the full structural identity of a
@@ -73,15 +78,39 @@ class CodeCache:
         """Compile `compiled` to a specialized function and attach it
         as ``compiled.py_fn``; returns the function, or None when the
         trace is not lowerable (it keeps running block by block)."""
-        bus = self.bus
         serial = getattr(compiled.trace, "serial", None)
         lowered = lower(compiled)
         if lowered is None:
             compiled.py_uncompilable = True
             self.stats.traces_uncompilable += 1
-            if bus is not None:
-                bus.emit("codegen.uncompilable", trace=serial)
+            if self.bus is not None:
+                self.bus.emit("codegen.uncompilable", trace=serial)
             return None
+        exits = [0] * lowered.guard_count
+        fn = self._instantiate(lowered, TRACE_FN_NAME, {"trace": serial},
+                               EXITS=exits, EXIT_TOTAL=self._exit_total)
+        compiled.py_fn = fn
+        compiled.side_exit_counts = exits
+        self.stats.traces_compiled += 1
+        return fn
+
+    def install_block(self, block):
+        """Compile `block` to a ``block_fn(machine)`` that stands in for
+        ``execute_block(machine, block)``; None when it has an
+        instruction with no template."""
+        lowered = lower_block(block)
+        if lowered is None:
+            return None
+        fn = self._instantiate(lowered, BLOCK_FN_NAME, {"block": block.bid})
+        self.stats.blocks_compiled += 1
+        return fn
+
+    def _instantiate(self, lowered: LoweredTrace, name: str, unit: dict,
+                     **namespace):
+        """The code object for `lowered`'s shape (compiled at most once
+        per process), bound to its constants; returns function `name`.
+        `unit` identifies the trace or block in codegen events."""
+        bus = self.bus
         code = self._code.get(lowered.key)
         if code is None:
             self.stats.cache_misses += 1
@@ -100,7 +129,7 @@ class CodeCache:
                 seconds = 0.0
             self._code[lowered.key] = code
             if bus is not None:
-                bus.emit("codegen.compile", trace=serial,
+                bus.emit("codegen.compile", **unit,
                          source_bytes=len(lowered.source),
                          guards=lowered.guard_count,
                          seconds=seconds,
@@ -108,20 +137,13 @@ class CodeCache:
         else:
             self.stats.cache_hits += 1
             if bus is not None:
-                bus.emit("codegen.cache_hit", trace=serial)
+                bus.emit("codegen.cache_hit", **unit)
 
-        exits = [0] * lowered.guard_count
-        namespace = dict(HELPERS)
-        namespace["EXITS"] = exits
-        namespace["EXIT_TOTAL"] = self._exit_total
+        namespace.update(HELPERS)
         for index, obj in enumerate(lowered.consts):
             namespace[f"C{index}"] = obj
         exec(code, namespace)
-        fn = namespace[TRACE_FN_NAME]
-        compiled.py_fn = fn
-        compiled.side_exit_counts = exits
-        self.stats.traces_compiled += 1
-        return fn
+        return namespace[name]
 
     def side_exits_total(self) -> int:
         """Guard side exits taken inside generated code, summed over

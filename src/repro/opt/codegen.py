@@ -1,4 +1,4 @@
-"""Template compilation: flattened trace IR -> specialized Python source.
+"""Template compilation: flattened trace IR and basic blocks -> Python.
 
 Each hot trace is lowered into one straight-line Python function that
 is ``compile()``d once and cached (see :mod:`repro.opt.codecache`).
@@ -9,13 +9,23 @@ of the trace would::
         ...
         return blocks_executed, successor_block, completed
 
+A hot *lone block* — one the controller keeps dispatching by itself,
+outside any trace — is lowered the same way into::
+
+    def block_fn(machine):
+        ...
+        return successor_block
+
+which is a drop-in for ``execute_block(machine, block)``.
+
 Lowering rules:
 
 - **Simple ops** become inline statements over a *virtual stack* of
   Python expressions, so ``ILOAD a; ILOAD b; IADD; ISTORE c`` fuses to
-  ``locals_[c] = wrap_int(locals_[a] + locals_[b])`` with no operand-
-  stack traffic at all.  ``wrap_int`` is dropped where interval
-  analysis proves the result fits a Java int (e.g. masked values).
+  ``locals_[c] = <wrapped locals_[a] + locals_[b]>`` with no operand-
+  stack traffic at all.  Java-int wrapping is inline arithmetic, and
+  it is dropped where interval analysis proves the result fits a Java
+  int (e.g. masked values).
 - **Guards** become inline conditionals whose failure branch restores
   the real operand stack, bumps the machine's instruction count by the
   block-exact prefix weight, and side-exits with
@@ -29,6 +39,12 @@ Lowering rules:
   and throw handlers keep their guards.  A return value re-enters the
   *caller's* virtual stack, so it can fuse into the continuation
   without touching the operand stack.
+- **Block exits** — a lone block, and the final block of every trace —
+  share one template (:func:`_lower_block_exit`): charge the block and
+  check the step limit as ``execute_block`` does, lower the body, and
+  turn the terminator into "return the successor", with the same frame
+  effects and errors as the interpreter.  A trace's virtual stack
+  carries into its final block, so the trace body fuses into the tail.
 
 Per-trace objects (successor blocks, classes, the ``CompiledTrace``
 itself) are never embedded in the source; they are referenced through
@@ -41,24 +57,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..jvm.basicblock import (KIND_COND, KIND_FALL, KIND_GOTO,
+                              KIND_INVOKE, KIND_RETURN, KIND_SWITCH,
+                              KIND_THROW)
 from ..jvm.bytecode import Op
 from ..jvm.errors import StepLimitExceeded, VMRuntimeError
 from ..jvm.frame import Frame
 from ..jvm.heap import ArrayRef, ObjRef
-from ..jvm.threaded import _throw, execute_block
+from ..jvm.intrinsics import NativeMethod
+from ..jvm.threaded import _throw
 from ..jvm.values import (INT_MAX, INT_MIN, fcmp, java_f2i, java_fdiv,
-                          java_idiv, java_irem, java_ishl, java_ishr,
-                          java_iushr, wrap_int)
+                          java_idiv, java_irem, java_ishl, java_iushr)
 from .ir import (CompiledTrace, K_CALL, K_GUARD_COND, K_GUARD_SWITCH,
                  K_NATIVE, K_RET, K_SIMPLE, K_THROW, K_VCALL)
 
 # Names the generated source may reference; bound as function defaults.
 HELPERS = {
-    "wrap_int": wrap_int,
     "java_idiv": java_idiv,
     "java_irem": java_irem,
     "java_ishl": java_ishl,
-    "java_ishr": java_ishr,
     "java_iushr": java_iushr,
     "java_fdiv": java_fdiv,
     "java_f2i": java_f2i,
@@ -67,12 +84,12 @@ HELPERS = {
     "ArrayRef": ArrayRef,
     "VMRuntimeError": VMRuntimeError,
     "StepLimitExceeded": StepLimitExceeded,
-    "execute_block": execute_block,
     "Frame": Frame,
     "_throw": _throw,
 }
 
 TRACE_FN_NAME = "trace_fn"
+BLOCK_FN_NAME = "block_fn"
 
 _INT_RANGE = (INT_MIN, INT_MAX)
 _MAX_EXPR_LEN = 64      # defer fused expressions only up to this length
@@ -105,7 +122,8 @@ class LowerError(Exception):
 
 @dataclass(slots=True)
 class LoweredTrace:
-    """Output of :func:`lower`: source text plus its constant pool."""
+    """Output of :func:`lower` and :func:`lower_block`: source text
+    plus its constant pool."""
 
     source: str
     consts: list          # objects bound to C0..Cn (positional)
@@ -125,7 +143,7 @@ class _Value:
     into exactly one consumer.  `slots` lists the local indices the
     expression reads, so stores can force materialization first.
     `bounds` is an inclusive integer interval when the value is an int
-    with known range (drives wrap_int elision).
+    with known range (drives wrap elision).
     """
 
     __slots__ = ("expr", "simple", "slots", "bounds")
@@ -159,6 +177,12 @@ def _float_literal(value: float) -> _Value:
 
 def _in_int_range(lo: int, hi: int) -> bool:
     return INT_MIN <= lo and hi <= INT_MAX
+
+
+def _wrap(expr: str) -> str:
+    """``wrap_int(expr)`` as inline arithmetic (no call).  `expr` must
+    bind at least as tightly as ``+`` (an atom or parenthesized)."""
+    return f"(({expr} + 2147483648 & 4294967295) - 2147483648)"
 
 
 class _Emitter:
@@ -274,6 +298,45 @@ def lower(compiled: CompiledTrace) -> LoweredTrace | None:
         return None
 
 
+def lower_block(block) -> LoweredTrace | None:
+    """Lower one basic block to a ``block_fn(machine)`` that does what
+    ``execute_block(machine, block)`` does and returns the successor;
+    None when the block has an instruction with no template."""
+    em = _Emitter()
+    try:
+        _lower_block_exit(em, block, 0, lambda successor: successor)
+    except LowerError:
+        return None
+    head = [f"def {BLOCK_FN_NAME}(machine, {_defaults(em, [])}):"]
+    frames = "machine.frames"
+    if em.uses_frames:
+        head.append("    frames = machine.frames")
+        frames = "frames"
+    uses = [name for name in ("locals_", "_push", "_pop")
+            if any(name in line for line in em.lines)]
+    if uses:
+        head.append(f"    frame = {frames}[-1]")
+    if "locals_" in uses:
+        head.append("    locals_ = frame.locals")
+    if "_push" in uses or "_pop" in uses:
+        head.append("    stack = frame.stack")
+    if "_push" in uses:
+        head.append("    _push = stack.append")
+    if "_pop" in uses:
+        head.append("    _pop = stack.pop")
+    source = "\n".join(head + em.lines) + "\n"
+    return LoweredTrace(source=source, consts=em.consts, guard_count=0)
+
+
+def _defaults(em: _Emitter, names: list) -> str:
+    """The generated function's keyword defaults: `names`, the constant
+    slots, and every helper the body references."""
+    names = names + [f"C{i}" for i in range(len(em.consts))]
+    names += sorted(name for name in HELPERS
+                    if any(name in line for line in em.lines))
+    return ", ".join(f"{n}={n}" for n in names)
+
+
 def _lower(compiled: CompiledTrace) -> LoweredTrace:
     em = _Emitter()
     prefix = compiled.block_weight_prefix
@@ -289,41 +352,29 @@ def _lower(compiled: CompiledTrace) -> LoweredTrace:
         elif kind == K_GUARD_SWITCH:
             _lower_guard_switch(em, instr, ct, exits, prefix)
         elif kind == K_CALL:
-            _lower_call(em, instr)
+            _push_frame(em, instr.op, instr.a, instr.b, instr.continuation)
+            em.frame_switch()
         elif kind == K_VCALL:
             _lower_vcall(em, instr, ct, exits, prefix)
         elif kind == K_RET:
             _lower_ret(em, instr, ct, exits, prefix)
         elif kind == K_NATIVE:
-            _lower_native(em, instr)
+            _lower_native(em, instr.a, instr.b)
         elif kind == K_THROW:
             _lower_throw(em, instr, ct, exits, prefix)
         else:
             raise LowerError(f"kind {kind!r} not lowered by py backend")
 
-    # Completion: charge the flattened originals, run the final block
-    # through the standard executor (it charges its own length).
-    for line in em.flush_lines():
-        em.emit(line)
-    final = em.const(compiled.final_block)
-    em.emit(f"machine.instr_count += {compiled.original_instr_count}")
-    em.emit(f"return {len(compiled.trace.blocks)}, "
-            f"execute_block(machine, {final}), True")
-
-    defaults = ["execute_block=execute_block",
-                "StepLimitExceeded=StepLimitExceeded",
-                "EXITS=EXITS",
-                "EXIT_TOTAL=EXIT_TOTAL"]
-    defaults += [f"C{i}=C{i}" for i in range(len(em.consts))]
-    helper_defaults = sorted(
-        name for name in HELPERS
-        if name not in ("execute_block", "StepLimitExceeded")
-        and any(name in line for line in em.lines))
-    defaults += [f"{n}={n}" for n in helper_defaults]
+    # Completion: the final block runs inline through the block-exit
+    # template, charged together with the flattened originals.
+    count = len(compiled.trace.blocks)
+    _lower_block_exit(em, compiled.final_block,
+                      compiled.original_instr_count,
+                      lambda successor: f"{count}, {successor}, True")
 
     head = [
         f"def {TRACE_FN_NAME}(machine, frame, stack, locals_,",
-        f"             {', '.join(defaults)}):",
+        f"             {_defaults(em, ['EXITS', 'EXIT_TOTAL'])}):",
         f"    {ct}.executions += 1",
         "    if machine.instr_count > machine.max_instructions:",
         "        raise StepLimitExceeded(",
@@ -337,6 +388,90 @@ def _lower(compiled: CompiledTrace) -> LoweredTrace:
     source = "\n".join(head + em.lines) + "\n"
     return LoweredTrace(source=source, consts=em.consts,
                         guard_count=em.guard_count)
+
+
+# ----------------------------------------------------------------------
+# Block exits: a lone block, or the final block of a trace
+
+def _lower_block_exit(em: _Emitter, block, uncharged: int, done) -> None:
+    """Lower `block` in full, every path ending in
+    ``return done(successor)``, with the effects and errors of
+    ``execute_block``.  `uncharged` is the instruction count of code
+    already run but not yet charged (a trace's flattened body)."""
+    em.emit(f"machine.instr_count += {uncharged + block.length}")
+    em.emit("if machine.instr_count > machine.max_instructions:")
+    for line in em.flush_lines():
+        em.emit(line, 2)
+    em.emit("raise StepLimitExceeded(", 2)
+    em.emit('    f"exceeded {machine.max_instructions} instructions")', 2)
+
+    code = block.method.code
+    kind = block.kind
+    body_end = block.end if kind == KIND_FALL else block.end - 1
+    for index in range(block.start, body_end):
+        _lower_simple(em, code[index])
+    term = code[block.end - 1]
+    op = term.op
+
+    if kind == KIND_FALL or kind == KIND_GOTO:
+        em.flush_and_clear()
+        successor = block.succ_fall if kind == KIND_FALL \
+            else block.succ_target
+        em.emit(f"return {done(em.const(successor))}")
+    elif kind == KIND_COND:
+        cond = _pop_cond(em, op)
+        em.flush_and_clear()
+        taken = em.const(block.succ_target)
+        fall = em.const(block.succ_fall)
+        em.emit(f"return {done(f'{taken} if {cond} else {fall}')}")
+    elif kind == KIND_SWITCH:
+        em.need(1)
+        value = em.pop()
+        em.flush_and_clear()
+        offset = em.temp(f"{value.expr} - {term.a[0]}")
+        targets = em.const(block.switch_blocks)
+        em.emit(f"if 0 <= {offset.expr} < {len(block.switch_blocks)}:")
+        em.emit(f"return {done(f'{targets}[{offset.expr}]')}", 2)
+        em.emit(f"return {done(em.const(block.switch_default))}")
+    elif kind == KIND_INVOKE and type(term.a) is NativeMethod:
+        _lower_native(em, term.a, term.b)
+        em.flush_and_clear()
+        em.emit(f"return {done(em.const(block.continuation))}")
+    elif kind == KIND_INVOKE and op is not Op.INVOKEVIRTUAL:
+        _push_frame(em, op, term.a, term.b, block.continuation)
+        em.emit(f"return {done(em.const(term.a.entry_block))}")
+    elif kind == KIND_INVOKE:
+        target = _push_virtual_frame(em, term.a, term.b,
+                                     block.continuation)
+        em.emit(f"return {done(f'{target}.entry_block')}")
+    elif kind == KIND_RETURN:
+        value = None
+        if op is not Op.RETURN:
+            em.need(1)
+            value = em.pop()
+        # The rest of the virtual stack belongs to the frame being
+        # popped, which nothing can reach afterwards.
+        del em.vstack[:]
+        em.uses_frames = True
+        popped = em.temp("frames.pop()")
+        em.emit("if not frames:")
+        result = value.expr if value is not None else "None"
+        em.emit(f"machine.result = {result}", 2)
+        em.emit(f"return {done('None')}", 2)
+        if value is not None:
+            em.emit(f"frames[-1].stack.append({value.expr})")
+        em.emit(f"return {done(f'{popped.expr}.return_block')}")
+    elif kind == KIND_THROW:
+        em.need(1)
+        exc = em.pop()
+        # Unwinding clears the operand stack of the frame that catches
+        # and drops every frame it pops, so the rest of the virtual
+        # stack is dead either way.
+        del em.vstack[:]
+        handler = f"_throw(machine, {exc.expr}, {block.end - 1})"
+        em.emit(f"return {done(handler)}")
+    else:
+        raise LowerError(f"block kind {kind!r} not lowered")
 
 
 # ----------------------------------------------------------------------
@@ -355,17 +490,20 @@ def _side_exit(em: _Emitter, instr, ct: str, exits: str, prefix,
     em.emit(f"return {instr.ordinal + 1}, {successor_expr}, False", indent)
 
 
+def _pop_cond(em: _Emitter, op) -> str:
+    """Pop a conditional branch's operands; returns its condition."""
+    arity, template = _COND_EXPRS[op]
+    em.need(arity)
+    if arity == 1:
+        return template.format(a=em.pop().expr)
+    b = em.pop()
+    a = em.pop()
+    return template.format(a=a.expr, b=b.expr)
+
+
 def _lower_guard_cond(em: _Emitter, instr, ct: str, exits: str,
                       prefix) -> None:
-    arity, template = _COND_EXPRS[instr.op]
-    em.need(arity)
-    if arity == 2:
-        b = em.pop()
-        a = em.pop()
-        cond = template.format(a=a.expr, b=b.expr)
-    else:
-        a = em.pop()
-        cond = template.format(a=a.expr)
+    cond = _pop_cond(em, instr.op)
     # Mismatch means the branch went the *other* way, so the side-exit
     # successor is statically known.
     if instr.expect_taken:
@@ -419,28 +557,31 @@ def _capture(em: _Emitter, value: _Value) -> _Value:
     return value
 
 
-def _lower_call(em: _Emitter, instr) -> None:
-    """INVOKESTATIC / INVOKESPECIAL: deterministic callee, no guard."""
-    entries = _take_args(em, instr.b)
-    target = em.const(instr.a)
+def _push_frame(em: _Emitter, op, target, argc: int,
+                continuation) -> None:
+    """INVOKESTATIC / INVOKESPECIAL: push the callee's frame
+    (deterministic callee, so no guard)."""
+    entries = _take_args(em, argc)
+    target = em.const(target)
     arg_exprs = [e.expr for e in entries]
-    if instr.op is Op.INVOKESPECIAL:
+    if op is Op.INVOKESPECIAL:
         receiver = em.materialize(em.pop())
         em.emit(f"if {receiver.expr} is None:")
         em.emit(f'raise VMRuntimeError(f"invokespecial '
                 f'{{{target}.qualified_name}} on null")', 2)
         arg_exprs = [receiver.expr] + arg_exprs
     em.flush_and_clear()
-    cont = em.const(instr.continuation)
+    em.uses_frames = True
+    cont = em.const(continuation)
     em.emit(f"frames.append(Frame({target}, "
             f"[{', '.join(arg_exprs)}], {cont}))")
-    em.frame_switch()
 
 
-def _lower_vcall(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
-    """INVOKEVIRTUAL: vtable dispatch, entry block guarded."""
-    name = instr.a
-    entries = _take_args(em, instr.b)
+def _push_virtual_frame(em: _Emitter, name: str, argc: int,
+                        continuation) -> str:
+    """INVOKEVIRTUAL: vtable dispatch and the callee's frame; returns
+    the expression naming the resolved method."""
+    entries = _take_args(em, argc)
     receiver = em.materialize(em.pop())
     em.emit(f"if {receiver.expr} is None:")
     em.emit(f'raise VMRuntimeError("invokevirtual {name!r} '
@@ -450,14 +591,21 @@ def _lower_vcall(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
     em.emit(f'raise VMRuntimeError(f"no virtual method {name!r} on '
             f'{{{receiver.expr}.rtclass.name}}")', 2)
     em.flush_and_clear()
-    cont = em.const(instr.continuation)
+    em.uses_frames = True
+    cont = em.const(continuation)
     args = ", ".join([receiver.expr] + [e.expr for e in entries])
     em.emit(f"frames.append(Frame({target.expr}, [{args}], {cont}))")
+    return target.expr
+
+
+def _lower_vcall(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
+    """INVOKEVIRTUAL inside a trace: the entry block is guarded."""
+    target = _push_virtual_frame(em, instr.a, instr.b, instr.continuation)
     em.frame_switch()
     expected = em.const(instr.expected)
-    em.emit(f"if {target.expr}.entry_block is not {expected}:")
-    _side_exit(em, instr, ct, exits, prefix,
-               f"{target.expr}.entry_block", indent=2)
+    em.emit(f"if {target}.entry_block is not {expected}:")
+    _side_exit(em, instr, ct, exits, prefix, f"{target}.entry_block",
+               indent=2)
     em.guard_count += 1
 
 
@@ -490,15 +638,15 @@ def _lower_ret(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
     em.guard_count += 1
 
 
-def _lower_native(em: _Emitter, instr) -> None:
+def _lower_native(em: _Emitter, target, argc: int) -> None:
     """Native call: executes inline, no frame push.  Natives see only
     the machine and their argument list, so the caller's virtual stack
     can stay deferred across the call."""
-    native = em.const(instr.a)
-    entries = _take_args(em, instr.b)
+    native = em.const(target)
+    entries = _take_args(em, argc)
     args = ", ".join(e.expr for e in entries)
     call = f"{native}.fn(machine, [{args}])"
-    if instr.a.returns_value:
+    if target.returns_value:
         em.push(em.temp(call))
     else:
         em.emit(call)
@@ -522,7 +670,7 @@ def _lower_throw(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
 # Simple ops
 
 def _binary_int(em: _Emitter, symbol: str) -> None:
-    """IADD/ISUB/IMUL with interval-based wrap_int elision."""
+    """IADD/ISUB/IMUL with interval-based wrap elision."""
     em.need(2)
     b = em.pop()
     a = em.pop()
@@ -542,12 +690,12 @@ def _binary_int(em: _Emitter, symbol: str) -> None:
     if bounds is not None:
         em.defer(f"({a.expr} {symbol} {b.expr})", (a, b), bounds)
     else:
-        em.defer(f"wrap_int({a.expr} {symbol} {b.expr})", (a, b),
+        em.defer(_wrap(f"({a.expr} {symbol} {b.expr})"), (a, b),
                  _INT_RANGE)
 
 
 def _bitwise(em: _Emitter, symbol: str) -> None:
-    """IAND/IOR/IXOR: closed over Java ints, never needs wrap_int."""
+    """IAND/IOR/IXOR: closed over Java ints, never need a wrap."""
     em.need(2)
     b = em.pop()
     a = em.pop()
@@ -600,7 +748,7 @@ def _lower_simple(em: _Emitter, instr) -> None:
     elif op is Op.IINC:
         em.spill_slot(instr.a)
         em.emit(f"locals_[{instr.a}] = "
-                f"wrap_int(locals_[{instr.a}] + {instr.b})")
+                + _wrap(f"(locals_[{instr.a}] + {instr.b})"))
     elif op is Op.IADD:
         _binary_int(em, "+")
     elif op is Op.ISUB:
@@ -616,7 +764,7 @@ def _lower_simple(em: _Emitter, instr) -> None:
         if a.bounds is not None and a.bounds[0] > INT_MIN:
             em.defer(f"(-{a.expr})", (a,), (-a.bounds[1], -a.bounds[0]))
         else:
-            em.defer(f"wrap_int(-{a.expr})", (a,), _INT_RANGE)
+            em.defer(_wrap(f"(-{a.expr})"), (a,), _INT_RANGE)
     elif op is Op.IAND:
         _bitwise(em, "&")
     elif op is Op.IOR:
@@ -626,7 +774,11 @@ def _lower_simple(em: _Emitter, instr) -> None:
     elif op is Op.ISHL:
         _helper_binary(em, "java_ishl", raising=False)
     elif op is Op.ISHR:
-        _helper_binary(em, "java_ishr", raising=False)
+        # Arithmetic shift of a Java int stays in range: no wrap.
+        em.need(2)
+        b = em.pop()
+        a = em.pop()
+        em.defer(f"({a.expr} >> ({b.expr} & 31))", (a, b), _INT_RANGE)
     elif op is Op.IUSHR:
         _helper_binary(em, "java_iushr", raising=False)
     elif op is Op.FADD or op is Op.FSUB or op is Op.FMUL:

@@ -5,12 +5,18 @@ each dispatched trace; compilation (flatten + passes) happens on first
 request and is cached by trace identity.  Traces that cannot be
 flattened (defensive `FlattenError`) are remembered as unoptimizable
 and dispatched the ordinary way.
+
+Blocks the controller dispatches alone, outside any trace, go through
+:meth:`TraceOptimizer.run_block`, which compiles a block once it is hot
+and serves it from :attr:`TraceOptimizer.block_fns` from then on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+from ..jvm.threaded import execute_block
 from .codecache import CodeCache
 from .flatten import FlattenError, flatten
 from .ir import CompiledTrace
@@ -41,16 +47,25 @@ class TraceOptimizer:
     The optimizer owns a :class:`CodeCache` and template-compiles each
     trace into a specialized Python function once the trace has been
     entered ``compile_threshold`` times (cold traces never pay
-    codegen; until then they run block by block)."""
+    codegen; until then they run block by block).  A block dispatched
+    alone ``block_threshold`` times gets its own function the same way.
+    Block functions do not depend on the profile, so they live as long
+    as the optimizer (across re-entries) and are never invalidated."""
 
     def __init__(self, enable_passes: bool = True,
-                 compile_threshold: int = 2, bus=None) -> None:
+                 compile_threshold: int = 2, block_threshold: int = 128,
+                 bus=None) -> None:
         self.enable_passes = enable_passes
         self.compile_threshold = compile_threshold
+        self.block_threshold = block_threshold
         self.bus = bus              # repro.obs EventBus, or None
         self.codecache = CodeCache(bus=bus)
         self.compiled: dict[int, CompiledTrace] = {}    # id(trace) ->
         self.unoptimizable: set[int] = set()
+        # BasicBlock -> block_fn(machine), for hot lone blocks; cold
+        # ones count their lone dispatches in _block_counts.
+        self.block_fns: dict = {}
+        self._block_counts: dict = {}
         self.stats = OptimizerStats()
 
     def get(self, trace) -> CompiledTrace | None:
@@ -86,6 +101,24 @@ class TraceOptimizer:
                 or compiled.trace.entries < self.compile_threshold):
             return None
         return self.codecache.install(compiled)
+
+    def run_block(self, machine, block):
+        """Dispatch `block` alone and return its successor: through
+        ``execute_block`` while cold, through its compiled function
+        from the ``block_threshold``-th lone dispatch on.  The
+        controller calls this only for blocks not yet in
+        :attr:`block_fns`."""
+        counts = self._block_counts
+        count = counts.get(block, 0) + 1
+        if count < self.block_threshold:
+            counts[block] = count
+            return execute_block(machine, block)
+        counts.pop(block, None)
+        fn = self.codecache.install_block(block)
+        if fn is None:          # no template: stays interpreted
+            fn = partial(execute_block, block=block)
+        self.block_fns[block] = fn
+        return fn(machine)
 
     def invalidate(self, trace) -> None:
         """Drop the compiled form — IR and generated code both — when

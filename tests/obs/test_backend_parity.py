@@ -1,12 +1,13 @@
 """The structural event stream is execution-mode-independent.
 
 Profiling, trace construction, and cache mutations are driven by
-dispatch — whether an installed trace runs as generated code or block
-by block must not change what the profiler sees.  The same program runs
-with every trace compiled at its first hot entry
-(``compile_threshold=1``) and with no trace ever compiled (a threshold
-no entry count reaches); codegen events (``codegen.*``) are the only
-permitted difference.
+dispatch — whether an installed trace or a lone block runs as generated
+code or interpreted must not change what the profiler sees.  The same
+program runs with every trace compiled at its first hot entry
+(``compile_threshold=1``, which also compiles lone blocks after
+``start_state_delay`` dispatches) and with nothing ever compiled (a
+threshold no entry count reaches); codegen events (``codegen.*``) are
+the only permitted difference.
 """
 
 from __future__ import annotations
@@ -74,3 +75,7 @@ class TestBackendParity:
         assert "codegen.compile" in runs[COMPILED][2]
         assert "codegen.compile" not in runs[NEVER][2]
         assert runs[NEVER][0].stats.codegen_traces_compiled == 0
+        assert runs[NEVER][0].stats.codegen_blocks_compiled == 0
+
+    def test_threshold_one_compiles_lone_blocks(self, runs):
+        assert runs[COMPILED][0].stats.codegen_blocks_compiled > 0

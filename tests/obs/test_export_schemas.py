@@ -142,6 +142,7 @@ class TestSnapshotSchema:
                                          "resignals", "rechecks",
                                          "decays"}
         assert set(snap["codegen"]) == {"enabled", "traces_compiled",
+                                        "blocks_compiled",
                                         "uncompilable", "cache_hits",
                                         "cache_misses", "shared_hits",
                                         "source_bytes",

@@ -213,6 +213,27 @@ class TestDeclinedFallback:
         assert result.stats.codegen_uncompilable > 0
         assert result.stats.codegen_traces_compiled == 0
 
+    def test_declined_blocks_stay_interpreted(self, monkeypatch):
+        """A hot lone block codegen declines keeps running through
+        ``execute_block``, and is not offered to codegen again."""
+        import repro.opt.codecache as codecache
+        from repro.workloads import load_workload
+
+        declined = []
+        monkeypatch.setattr(codecache, "lower_block",
+                            lambda block: declined.append(block))
+        program = load_workload("compressx", "tiny")
+        ref = ThreadedInterpreter(program).run()
+        controller = TraceController(program, TraceCacheConfig(
+            optimize_traces=True, compile_threshold=1, **AGGRESSIVE))
+        result = controller.run()
+        assert result.value == ref.result
+        assert result.stats.instr_total == ref.instr_count
+        assert declined
+        assert len(declined) == len(set(declined))
+        assert result.stats.codegen_blocks_compiled == 0
+        assert set(controller.optimizer.block_fns) == set(declined)
+
 
 class TestWrapElision:
     def test_masked_addition_drops_wrap_int(self):
@@ -233,5 +254,6 @@ class TestWrapElision:
         sources = list(controller.optimizer.codecache._code)
         # Interval analysis proves (x & 255) + (y & 255) <= 510 fits a
         # Java int, so the hot-loop source carries the raw addition.
-        assert any("& 255) + (" in src and "wrap_int((" not in src
+        assert any("& 255) + (" in src
+                   and "& 255)) + 2147483648" not in src
                    for src in sources)

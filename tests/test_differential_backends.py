@@ -50,10 +50,13 @@ class TestWorkloads:
         py = report.results["py"]
         assert py.stats.codegen_traces_compiled > 0, name
         assert py.stats.codegen_uncompilable == 0, name
+        # Its lone blocks got generated code after a few dispatches.
+        assert py.stats.codegen_blocks_compiled > 0, name
         # py-cold never compiles, so its links and superblocks all ran
-        # on the block path.
+        # on the block path, and its lone blocks were interpreted.
         cold = report.results["py-cold"]
         assert cold.stats.codegen_traces_compiled == 0, name
+        assert cold.stats.codegen_blocks_compiled == 0, name
         assert cold.stats.linked_transfers > 0, name
         assert cold.stats.superblock_traces > 0, name
 
