@@ -1,15 +1,15 @@
-"""Future-work walkthrough: optimizing and executing traces.
+"""Future-work walkthrough: compiling and executing traces.
 
-Shows the full pipeline the paper's conclusion sketches: a hot trace is
-flattened to a guarded linear IR, peephole passes shrink it, and the
-optimized form executes with identical semantics.
+Shows the pipeline the paper's conclusion sketches: the trace cache
+forms a hot trace, codegen lowers it straight from its blocks into one
+Python function with a guard at each branch, and the compiled form
+executes with identical semantics.
 
 Run:  python examples/optimize_traces.py
 """
 
 from repro import TraceCacheConfig, compile_source, run_traced
-from repro.opt import TraceOptimizer, flatten, optimize
-from repro.opt.ir import K_SIMPLE
+from repro.opt import lower
 
 SOURCE = """
 class Main {
@@ -25,20 +25,6 @@ class Main {
 """
 
 
-def describe_instr(instr) -> str:
-    if instr.kind == K_SIMPLE:
-        parts = [instr.op.name.lower()]
-        if instr.a is not None:
-            parts.append(str(instr.a))
-        if instr.b is not None:
-            parts.append(str(instr.b))
-        text = " ".join(parts)
-    else:
-        text = f"<{instr.kind}>"
-    weight = f"  (represents {instr.weight})" if instr.weight > 1 else ""
-    return f"  {text}{weight}"
-
-
 def main() -> None:
     program = compile_source(SOURCE)
 
@@ -49,31 +35,27 @@ def main() -> None:
     print(f"hottest trace: {len(trace.blocks)} blocks, "
           f"{trace.entries:,} entries\n")
 
-    raw = flatten(trace)
-    print(f"--- flattened IR ({raw.optimized_instr_count} instructions, "
-          f"{raw.original_instr_count} originals; internal gotos "
-          f"already gone) ---")
-    for instr in raw.instrs:
-        print(describe_instr(instr))
+    lowered = lower(trace)
+    if lowered is None:
+        print("codegen declined this trace; it runs block by block")
+    else:
+        print(f"--- generated source ({lowered.guard_count} guards) ---")
+        print(lowered.source)
+        print("--- constant slots, bound when the code is installed ---")
+        for index, obj in enumerate(lowered.consts):
+            print(f"  C{index} = {obj!r}")
 
-    tuned = optimize(flatten(trace))
-    print(f"\n--- after passes ({tuned.optimized_instr_count} "
-          f"instructions; {tuned.savings} originals eliminated) ---")
-    for instr in tuned.instrs:
-        print(describe_instr(instr))
-
-    # Now run the whole program with optimized trace dispatch.
+    # Now run the whole program with compiled trace dispatch.
     optimized = run_traced(program, TraceCacheConfig(
         start_state_delay=8, decay_period=32, optimize_traces=True))
     assert optimized.value == plain.value
+    assert optimized.stats.instr_total == plain.stats.instr_total
     stats = optimized.stats
-    print(f"\n--- optimized run ---")
-    print(f"result identical          : {optimized.value}")
-    print(f"traces compiled           : {stats.traces_compiled}")
-    print(f"original instrs eliminated: "
-          f"{stats.opt_dynamic_savings:,} "
-          f"({stats.opt_dynamic_savings / stats.instr_total:.1%} of the "
-          f"instruction stream)")
+    print("\n--- compiled run ---")
+    print(f"result identical    : {optimized.value}")
+    print(f"traces compiled     : {stats.codegen_traces_compiled}")
+    print(f"lone blocks compiled: {stats.codegen_blocks_compiled}")
+    print(f"guard side exits    : {stats.codegen_side_exits}")
 
 
 if __name__ == "__main__":

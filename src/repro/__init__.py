@@ -38,7 +38,7 @@ from .api import VM, compile_program
 from .check import (DiffReport, InvariantChecker, ProgramSpec,
                     assert_equivalent, run_differential)
 from .core import (BranchCorrelationGraph, BranchNode, BranchState,
-                   EventLog, Profiler, RunResult, Trace, TraceCache,
+                   Profiler, RunResult, Trace, TraceCache,
                    TraceCacheConfig, TraceController, run_traced)
 from .jvm import (Program, SwitchInterpreter, ThreadedInterpreter,
                   disassemble_program, link, verify_program)
@@ -53,8 +53,8 @@ __all__ = [
     "VM", "compile_program", "Observability", "EventBus", "PhaseTimers",
     "DiffReport", "InvariantChecker", "ProgramSpec", "assert_equivalent",
     "run_differential",
-    "BranchCorrelationGraph", "BranchNode", "BranchState", "EventLog",
-    "Profiler", "RunResult", "Trace", "TraceCache", "TraceCacheConfig",
+    "BranchCorrelationGraph", "BranchNode", "BranchState", "Profiler",
+    "RunResult", "Trace", "TraceCache", "TraceCacheConfig",
     "TraceController", "run_traced", "Program", "SwitchInterpreter",
     "ThreadedInterpreter", "disassemble_program", "link",
     "verify_program", "CompileError", "compile_source", "RunStats",

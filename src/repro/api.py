@@ -25,7 +25,6 @@ import os
 import time
 
 from .core import RunResult, TraceCacheConfig, TraceController
-from .core.events import EventLog
 from .jvm.linker import Program
 from .jvm.threaded import DEFAULT_MAX_INSTRUCTIONS
 from .obs import Observability
@@ -84,8 +83,6 @@ class VM:
         cache / constructor / codegen instrumentation point routes
         through its bus and timers.  Default None: fully disabled,
         zero overhead.
-    event_log:
-        Legacy :class:`EventLog` capturing raw state-change signals.
     profile:
         Warm start: a ``.rprof`` path or an in-memory
         :class:`~repro.store.ProfileStore` captured by a previous run.
@@ -104,7 +101,6 @@ class VM:
                  config: TraceCacheConfig | None = None, *,
                  obs: Observability | None = None,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                 event_log: EventLog | None = None,
                  profile=None,
                  **config_overrides) -> None:
         self.program = compile_program(program_or_source)
@@ -113,10 +109,8 @@ class VM:
                                          **config_overrides)
         self.config = config or TraceCacheConfig()
         self.obs = obs
-        self.event_log = event_log
         self.controller = TraceController(
-            self.program, self.config, max_instructions,
-            event_log=event_log, obs=obs)
+            self.program, self.config, max_instructions, obs=obs)
         self.result: RunResult | None = None
         if profile is not None:
             self.load_profile(profile)

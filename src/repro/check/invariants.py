@@ -380,10 +380,6 @@ class InvariantChecker:
                            f"trace no longer in the cache table "
                            f"(serial {getattr(trace, 'serial', '?')}); "
                            f"invalidation must drop it")
-        overlap = optimizer.unoptimizable & set(optimizer.compiled)
-        if overlap:
-            self._fail(f"{len(overlap)} trace(s) marked both compiled "
-                       f"and unoptimizable")
 
     # ------------------------------------------------------------------
     def raise_if_violated(self) -> None:

@@ -573,7 +573,8 @@ def _trace_flags() -> argparse.ArgumentParser:
                        help="start-state delay (executions before a "
                             "branch can enter traces)")
     group.add_argument("--optimize", action="store_true",
-                       help="execute optimized (flattened) traces")
+                       help="compile hot traces and blocks to Python "
+                            "functions")
     group.add_argument("--compile-threshold", type=int, default=2,
                        help="trace entries before codegen kicks in")
     group.add_argument("--no-linking", action="store_true",

@@ -17,7 +17,6 @@ from .config import TraceCacheConfig
 from .constructor import (build_node_sequences, find_entry_points,
                           max_likelihood_walk)
 from .controller import RunResult, TraceController, run_traced
-from .events import EventLog, StateChangeSignal
 from .profiler import Profiler, ProfilerStats
 from .states import BranchState, classify, is_predictable
 from .trace import Trace
@@ -28,7 +27,7 @@ __all__ = [
     "completion_probability", "cut_by_threshold", "step_probability",
     "TraceCacheConfig", "build_node_sequences", "find_entry_points",
     "max_likelihood_walk", "RunResult", "TraceController", "run_traced",
-    "EventLog", "StateChangeSignal", "Profiler", "ProfilerStats",
+    "Profiler", "ProfilerStats",
     "BranchState", "classify", "is_predictable", "Trace", "TraceCache",
     "TraceCacheStats",
 ]

@@ -26,8 +26,8 @@ class TraceCacheConfig:
     max_backtrack_nodes: int = 64
     min_trace_blocks: int = 2
     loop_unroll_copies: int = 2
-    # Future-work extension (paper Section 6): compile dispatched
-    # traces to an optimized linear IR with guards.
+    # Future-work extension (paper Section 6): compile hot traces, and
+    # hot blocks dispatched alone, to specialized Python functions.
     optimize_traces: bool = False
     # Trace entries before a trace is template-compiled into a
     # specialized Python function (guards become inline conditionals);

@@ -13,11 +13,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+from ..jvm.errors import StepLimitAhead
 from ..jvm.linker import Program
 from ..jvm.threaded import DEFAULT_MAX_INSTRUCTIONS, Machine, execute_block
 from ..metrics.collectors import RunStats
 from .config import TraceCacheConfig
-from .events import EventLog
 from .links import TraceLinker
 from .profiler import Profiler
 from .trace import Trace
@@ -53,15 +53,13 @@ class TraceController:
     def __init__(self, program: Program,
                  config: TraceCacheConfig | None = None,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                 event_log: EventLog | None = None,
                  obs=None) -> None:
         self.program = program
         self.config = config or TraceCacheConfig()
         self.max_instructions = max_instructions
         self.obs = obs              # repro.obs.Observability, or None
         self._bus = obs.bus if obs is not None else None
-        self.profiler = Profiler(self.config, event_log=event_log,
-                                 bus=self._bus)
+        self.profiler = Profiler(self.config, bus=self._bus)
         self.cache = TraceCache(self.config, self.profiler,
                                 bus=self._bus)
         self.profiler.signal_sink = self.cache.on_signal
@@ -88,7 +86,7 @@ class TraceController:
                 block_threshold=self.config.start_state_delay
                 * self.config.compile_threshold,
                 bus=self._bus)
-            # When the cache unlinks a trace, drop its compiled forms.
+            # When the cache unlinks a trace, drop its record and code.
             self.cache.invalidation_sink = self.optimizer.invalidate
             if self.config.trace_linking:
                 self._linker = TraceLinker(self.config, self.cache,
@@ -195,24 +193,29 @@ class TraceController:
 
             # A trace runs one of two ways: its generated function, or
             # block by block.  The block path covers cold traces, traces
-            # codegen declined, and traces that failed to flatten.
+            # codegen declined, and dispatches that might cross the
+            # step limit.
             fn = None
             if optimizer is not None:
                 if compiled is None:
                     compiled = optimizer.get(trace)
-                if compiled is not None:
-                    # Hot path: an installed function is one attribute
-                    # load away; the backend_fn call (lazy install,
-                    # threshold check) only runs while the trace is
-                    # cold.
-                    fn = compiled.py_fn
-                    if fn is None:
-                        fn = optimizer.backend_fn(compiled)
+                # Hot path: an installed function is one attribute load
+                # away; the backend_fn call (lazy install, threshold
+                # check) only runs while the trace is cold.
+                fn = compiled.fn
+                if fn is None:
+                    fn = optimizer.backend_fn(compiled)
             if fn is not None:
                 frame = machine.frames[-1]
-                executed, nxt, _completed = fn(
-                    machine, frame, frame.stack, frame.locals)
-            else:
+                try:
+                    executed, nxt, _completed = fn(
+                        machine, frame, frame.stack, frame.locals)
+                except StepLimitAhead:
+                    # Raised before the trace changed any state: run it
+                    # block by block, which raises StepLimitExceeded
+                    # exactly where execute_block does.
+                    fn = None
+            if fn is None:
                 executed = 0
                 current = blocks[0]
                 nxt = None
@@ -300,9 +303,7 @@ class TraceController:
                                            target=target.serial,
                                            tick=self._transfer_tick)
                     if tcompiled is None and optimizer is not None:
-                        tcompiled = optimizer.get(target)
-                        if tcompiled is not None:
-                            entry[3] = tcompiled
+                        tcompiled = entry[3] = optimizer.get(target)
                     compiled = tcompiled
                     trace = target
                     continue
@@ -350,9 +351,6 @@ class TraceController:
             stats.links_installed = linker.stats.links_installed
         optimizer = self.optimizer
         if optimizer is not None:
-            stats.traces_compiled = optimizer.stats.traces_compiled
-            stats.opt_static_savings = optimizer.stats.static_savings
-            stats.opt_dynamic_savings = optimizer.dynamic_savings()
             codecache = optimizer.codecache
             cg = codecache.stats
             stats.codegen_traces_compiled = cg.traces_compiled
@@ -374,7 +372,6 @@ class TraceController:
 def run_traced(program: Program,
                config: TraceCacheConfig | None = None,
                max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-               event_log: EventLog | None = None,
                obs=None) -> RunResult:
     """One-call API: run `program` under the trace-dispatching VM.
 
@@ -383,4 +380,4 @@ def run_traced(program: Program,
     """
     from ..api import VM
     return VM(program, config=config, max_instructions=max_instructions,
-              event_log=event_log, obs=obs).run()
+              obs=obs).run()

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .bcg import BranchCorrelationGraph, BranchNode
 from .config import TraceCacheConfig
-from .events import EventLog, StateChangeSignal
 from .states import BranchState
 
 
@@ -44,12 +43,10 @@ class Profiler:
     """
 
     def __init__(self, config: TraceCacheConfig,
-                 signal_sink=None, event_log: EventLog | None = None,
-                 bus=None) -> None:
+                 signal_sink=None, bus=None) -> None:
         self.config = config
         self.bcg = BranchCorrelationGraph(config)
         self.signal_sink = signal_sink
-        self.event_log = event_log
         self.bus = bus              # repro.obs EventBus, or None
         self.bcg.bus = bus          # saturation events at decay sweeps
         self.stats = ProfilerStats()
@@ -170,9 +167,6 @@ class Profiler:
             self.stats.resignals += 1
         else:
             self.stats.signalled_keys.add(node.key)
-        if self.event_log is not None:
-            self.event_log.record(StateChangeSignal(
-                node.key, old_summary, new_summary, self.stats.advances))
         bus = self.bus
         if bus is not None:
             bus.emit("profiler.state_change", node=node.key,

@@ -31,6 +31,14 @@ class StepLimitExceeded(VMRuntimeError):
     """The interpreter exceeded its configured instruction budget."""
 
 
+class StepLimitAhead(Exception):
+    """Internal signal from a compiled trace, raised at entry before it
+    changes any state: running the whole trace might cross the
+    instruction budget.  Not a VMError: the trace dispatcher catches it
+    and runs that dispatch block by block, which raises
+    :class:`StepLimitExceeded` exactly where ``execute_block`` does."""
+
+
 class VMThrow(Exception):
     """Internal unwinding carrier for an in-VM `athrow`.
 

@@ -38,10 +38,6 @@ class RunStats:
     decays: int = 0
     traces_in_cache: int = 0
     runtime_seconds: float = 0.0
-    # Trace-optimizer extension (config.optimize_traces):
-    traces_compiled: int = 0
-    opt_static_savings: int = 0    # instructions removed from trace IR
-    opt_dynamic_savings: int = 0   # original instrs skipped at runtime
     # Template codegen (config.optimize_traces).  All fields stay
     # zeroed when the optimizer is off, so table builders can read
     # them unconditionally.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 
-SNAPSHOT_SCHEMA = 4
+SNAPSHOT_SCHEMA = 5
 
 # Microseconds; the trace-event format's native unit.
 _US = 1e6
@@ -215,7 +215,6 @@ def build_snapshot(controller, *, dispatches: int | None = None) -> dict:
         "saves": pinfo.get("saves", 0),
     }
 
-    event_log = profiler.event_log
     return {
         "schema": SNAPSHOT_SCHEMA,
         "dispatches": pstats.advances if dispatches is None
@@ -246,8 +245,4 @@ def build_snapshot(controller, *, dispatches: int | None = None) -> dict:
         "profile": profile,
         "events": events,
         "timers": timers,
-        "event_log": None if event_log is None else {
-            "recorded": len(event_log.signals),
-            "dropped": event_log.dropped,
-        },
     }

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .codegen import (BLOCK_FN_NAME, HELPERS, TRACE_FN_NAME, LoweredTrace,
                       lower, lower_block)
-from .ir import CompiledTrace
 
 
 @dataclass(slots=True)
@@ -30,7 +29,7 @@ class CodegenStats:
 
     traces_compiled: int = 0        # specialized functions installed
     blocks_compiled: int = 0        # lone-block functions installed
-    traces_uncompilable: int = 0    # declined (no lowering template)
+    traces_uncompilable: int = 0    # declined by codegen
     cache_hits: int = 0             # code object reused by shape
     cache_misses: int = 0           # distinct shapes this cache needed
     shared_hits: int = 0            # shapes adopted from the process
@@ -74,14 +73,16 @@ class CodeCache:
     def __len__(self) -> int:
         return len(self._code)
 
-    def install(self, compiled: CompiledTrace):
-        """Compile `compiled` to a specialized function and attach it
-        as ``compiled.py_fn``; returns the function, or None when the
-        trace is not lowerable (it keeps running block by block)."""
+    def install(self, compiled):
+        """Compile the trace of `compiled`, a
+        :class:`~repro.opt.optimizer.CompiledTrace`, to a specialized
+        function and attach it as ``compiled.fn``; returns the function,
+        or None when codegen declines the trace (it keeps running block
+        by block)."""
         serial = getattr(compiled.trace, "serial", None)
-        lowered = lower(compiled)
+        lowered = lower(compiled.trace)
         if lowered is None:
-            compiled.py_uncompilable = True
+            compiled.declined = True
             self.stats.traces_uncompilable += 1
             if self.bus is not None:
                 self.bus.emit("codegen.uncompilable", trace=serial)
@@ -89,7 +90,7 @@ class CodeCache:
         exits = [0] * lowered.guard_count
         fn = self._instantiate(lowered, TRACE_FN_NAME, {"trace": serial},
                                EXITS=exits, EXIT_TOTAL=self._exit_total)
-        compiled.py_fn = fn
+        compiled.fn = fn
         compiled.side_exit_counts = exits
         self.stats.traces_compiled += 1
         return fn

@@ -1,9 +1,9 @@
-"""Template compilation: flattened trace IR and basic blocks -> Python.
+"""Template compilation: traces and basic blocks -> Python.
 
-Each hot trace is lowered into one straight-line Python function that
-is ``compile()``d once and cached (see :mod:`repro.opt.codecache`).
-The generated function returns exactly what block-by-block execution
-of the trace would::
+Each hot trace is lowered straight from its blocks into one
+straight-line Python function that is ``compile()``d once and cached
+(see :mod:`repro.opt.codecache`).  The generated function returns
+exactly what block-by-block execution of the trace would::
 
     def trace_fn(machine, frame, stack, locals_):
         ...
@@ -26,31 +26,42 @@ Lowering rules:
   stack traffic at all.  Java-int wrapping is inline arithmetic, and
   it is dropped where interval analysis proves the result fits a Java
   int (e.g. masked values).
-- **Guards** become inline conditionals whose failure branch restores
-  the real operand stack, bumps the machine's instruction count by the
-  block-exact prefix weight, and side-exits with
-  ``(blocks_executed, successor, False)`` — the block and successor at
-  which the block path would have left the trace.
+- **Trace blocks** keep their bodies; each terminator before the last
+  block becomes what keeps execution on the trace.  A fall-through or
+  goto vanishes (the next block is its only successor), and a
+  conditional, switch, virtual call, return or throw becomes a
+  **guard**: an inline conditional whose failure branch restores the
+  real operand stack, charges the instructions of the blocks run so
+  far, and side-exits with ``(blocks_executed, successor, False)`` —
+  the block and successor at which the block path would have left the
+  trace.  A block sequence that contradicts a block's own successor is
+  declined, and that trace runs block by block.
 - **Calls, returns, natives and throws** are lowered inline with the
   exact frame effects of the original blocks: the caller's virtual
   stack is flushed to the real operand stack, the ``Frame`` is
   pushed/popped, and the ``stack`` / ``locals_`` bindings are switched
-  to the new top frame.  Virtual-call entries, return continuations
-  and throw handlers keep their guards.  A return value re-enters the
-  *caller's* virtual stack, so it can fuse into the continuation
-  without touching the operand stack.
+  to the new top frame.  A return value re-enters the *caller's*
+  virtual stack, so it can fuse into the continuation without touching
+  the operand stack.
 - **Block exits** — a lone block, and the final block of every trace —
-  share one template (:func:`_lower_block_exit`): charge the block and
-  check the step limit as ``execute_block`` does, lower the body, and
+  share one template (:func:`_lower_block_exit`): lower the body and
   turn the terminator into "return the successor", with the same frame
   effects and errors as the interpreter.  A trace's virtual stack
   carries into its final block, so the trace body fuses into the tail.
+- **The step limit.**  A lone block charges itself and checks the
+  limit first, as ``execute_block`` does.  A trace checks once, at
+  entry, whether its whole length fits the remaining budget; when it
+  might not, it raises :class:`~repro.jvm.errors.StepLimitAhead`
+  before touching any state, and the controller runs that dispatch
+  block by block, so the limit hits exactly where the block path puts
+  it.  A trace that passes the check cannot cross the limit, so the
+  final block only charges the whole trace.
 
-Per-trace objects (successor blocks, classes, the ``CompiledTrace``
-itself) are never embedded in the source; they are referenced through
-symbolic constant slots ``C0, C1, ...`` bound as function defaults at
-instantiation time.  Two traces with the same shape therefore produce
-byte-identical source — the structural key the code cache dedups on.
+Per-trace objects (successor blocks, classes, methods) are never
+embedded in the source; they are referenced through symbolic constant
+slots ``C0, C1, ...`` bound as function defaults at instantiation
+time.  Two traces with the same shape therefore produce byte-identical
+source — the structural key the code cache dedups on.
 """
 
 from __future__ import annotations
@@ -61,15 +72,13 @@ from ..jvm.basicblock import (KIND_COND, KIND_FALL, KIND_GOTO,
                               KIND_INVOKE, KIND_RETURN, KIND_SWITCH,
                               KIND_THROW)
 from ..jvm.bytecode import Op
-from ..jvm.errors import StepLimitExceeded, VMRuntimeError
+from ..jvm.errors import StepLimitAhead, StepLimitExceeded, VMRuntimeError
 from ..jvm.frame import Frame
 from ..jvm.heap import ArrayRef, ObjRef
 from ..jvm.intrinsics import NativeMethod
 from ..jvm.threaded import _throw
 from ..jvm.values import (INT_MAX, INT_MIN, fcmp, java_f2i, java_fdiv,
                           java_idiv, java_irem, java_ishl, java_iushr)
-from .ir import (CompiledTrace, K_CALL, K_GUARD_COND, K_GUARD_SWITCH,
-                 K_NATIVE, K_RET, K_SIMPLE, K_THROW, K_VCALL)
 
 # Names the generated source may reference; bound as function defaults.
 HELPERS = {
@@ -84,6 +93,7 @@ HELPERS = {
     "ArrayRef": ArrayRef,
     "VMRuntimeError": VMRuntimeError,
     "StepLimitExceeded": StepLimitExceeded,
+    "StepLimitAhead": StepLimitAhead,
     "Frame": Frame,
     "_throw": _throw,
 }
@@ -117,7 +127,8 @@ _COND_EXPRS = {
 
 
 class LowerError(Exception):
-    """The trace contains an instruction this backend does not lower."""
+    """Codegen declines the trace or block: an instruction with no
+    template, or a trace its blocks' successors contradict."""
 
 
 @dataclass(slots=True)
@@ -288,12 +299,13 @@ class _Emitter:
         self.push(value)
 
 
-def lower(compiled: CompiledTrace) -> LoweredTrace | None:
-    """Lower `compiled` to Python source, or None when the trace
-    contains an instruction this backend has no template for (those
-    traces keep running block by block)."""
+def lower(trace) -> LoweredTrace | None:
+    """Lower `trace` to a ``trace_fn``, or None when codegen declines
+    it: a one-block trace, a block sequence that contradicts a block's
+    own successor, or an instruction with no template (those traces
+    keep running block by block)."""
     try:
-        return _lower(compiled)
+        return _lower(trace)
     except LowerError:
         return None
 
@@ -303,8 +315,12 @@ def lower_block(block) -> LoweredTrace | None:
     ``execute_block(machine, block)`` does and returns the successor;
     None when the block has an instruction with no template."""
     em = _Emitter()
+    em.emit(f"machine.instr_count += {block.length}")
+    em.emit("if machine.instr_count > machine.max_instructions:")
+    em.emit("raise StepLimitExceeded(", 2)
+    em.emit('    f"exceeded {machine.max_instructions} instructions")', 2)
     try:
-        _lower_block_exit(em, block, 0, lambda successor: successor)
+        _lower_block_exit(em, block, lambda successor: successor)
     except LowerError:
         return None
     head = [f"def {BLOCK_FN_NAME}(machine, {_defaults(em, [])}):"]
@@ -337,48 +353,31 @@ def _defaults(em: _Emitter, names: list) -> str:
     return ", ".join(f"{n}={n}" for n in names)
 
 
-def _lower(compiled: CompiledTrace) -> LoweredTrace:
+def _lower(trace) -> LoweredTrace:
+    blocks = trace.blocks
+    if len(blocks) < 2:
+        raise LowerError("a one-block trace is a lone block")
     em = _Emitter()
-    prefix = compiled.block_weight_prefix
-    ct = em.const(compiled)
-    exits = "EXITS"     # per-guard side-exit counters, bound as default
-
-    for instr in compiled.instrs:
-        kind = instr.kind
-        if kind == K_SIMPLE:
-            _lower_simple(em, instr)
-        elif kind == K_GUARD_COND:
-            _lower_guard_cond(em, instr, ct, exits, prefix)
-        elif kind == K_GUARD_SWITCH:
-            _lower_guard_switch(em, instr, ct, exits, prefix)
-        elif kind == K_CALL:
-            _push_frame(em, instr.op, instr.a, instr.b, instr.continuation)
-            em.frame_switch()
-        elif kind == K_VCALL:
-            _lower_vcall(em, instr, ct, exits, prefix)
-        elif kind == K_RET:
-            _lower_ret(em, instr, ct, exits, prefix)
-        elif kind == K_NATIVE:
-            _lower_native(em, instr.a, instr.b)
-        elif kind == K_THROW:
-            _lower_throw(em, instr, ct, exits, prefix)
-        else:
-            raise LowerError(f"kind {kind!r} not lowered by py backend")
+    charged = 0         # instructions in the blocks lowered so far
+    for executed, block in enumerate(blocks[:-1], 1):
+        charged += block.length
+        _lower_trace_block(em, block, blocks[executed], executed, charged)
 
     # Completion: the final block runs inline through the block-exit
-    # template, charged together with the flattened originals.
-    count = len(compiled.trace.blocks)
-    _lower_block_exit(em, compiled.final_block,
-                      compiled.original_instr_count,
+    # template.  The entry check already fitted the whole trace into
+    # the step budget, so the tail only charges it.
+    total = charged + blocks[-1].length
+    count = len(blocks)
+    em.emit(f"machine.instr_count += {total}")
+    _lower_block_exit(em, blocks[-1],
                       lambda successor: f"{count}, {successor}, True")
 
+    names = ["EXITS", "EXIT_TOTAL", "StepLimitAhead"]
     head = [
         f"def {TRACE_FN_NAME}(machine, frame, stack, locals_,",
-        f"             {_defaults(em, ['EXITS', 'EXIT_TOTAL'])}):",
-        f"    {ct}.executions += 1",
-        "    if machine.instr_count > machine.max_instructions:",
-        "        raise StepLimitExceeded(",
-        '            f"exceeded {machine.max_instructions} instructions")',
+        f"             {_defaults(em, names)}):",
+        f"    if machine.instr_count + {total} > machine.max_instructions:",
+        "        raise StepLimitAhead",
     ]
     if em.uses_frames:
         head.append("    frames = machine.frames")
@@ -390,28 +389,26 @@ def _lower(compiled: CompiledTrace) -> LoweredTrace:
                         guard_count=em.guard_count)
 
 
+def _lower_body(em: _Emitter, block):
+    """Lower every instruction of `block` before its terminator (all of
+    them for a fall-through block); returns the terminator."""
+    code = block.method.code
+    end = block.end if block.kind == KIND_FALL else block.end - 1
+    for index in range(block.start, end):
+        _lower_simple(em, code[index])
+    return code[block.end - 1]
+
+
 # ----------------------------------------------------------------------
 # Block exits: a lone block, or the final block of a trace
 
-def _lower_block_exit(em: _Emitter, block, uncharged: int, done) -> None:
+def _lower_block_exit(em: _Emitter, block, done) -> None:
     """Lower `block` in full, every path ending in
     ``return done(successor)``, with the effects and errors of
-    ``execute_block``.  `uncharged` is the instruction count of code
-    already run but not yet charged (a trace's flattened body)."""
-    em.emit(f"machine.instr_count += {uncharged + block.length}")
-    em.emit("if machine.instr_count > machine.max_instructions:")
-    for line in em.flush_lines():
-        em.emit(line, 2)
-    em.emit("raise StepLimitExceeded(", 2)
-    em.emit('    f"exceeded {machine.max_instructions} instructions")', 2)
-
-    code = block.method.code
-    kind = block.kind
-    body_end = block.end if kind == KIND_FALL else block.end - 1
-    for index in range(block.start, body_end):
-        _lower_simple(em, code[index])
-    term = code[block.end - 1]
+    ``execute_block`` past its charge and step check."""
+    term = _lower_body(em, block)
     op = term.op
+    kind = block.kind
 
     if kind == KIND_FALL or kind == KIND_GOTO:
         em.flush_and_clear()
@@ -475,19 +472,85 @@ def _lower_block_exit(em: _Emitter, block, uncharged: int, done) -> None:
 
 
 # ----------------------------------------------------------------------
-# Guards
+# Guards: every block of a trace but its last
 
-def _side_exit(em: _Emitter, instr, ct: str, exits: str, prefix,
-               successor_expr: str, indent: int) -> None:
-    """Emit the side-exit body: restore stack, account, return."""
+def _lower_trace_block(em: _Emitter, block, expected, executed: int,
+                       charged: int) -> None:
+    """Lower `block`, after which the trace continues at `expected`:
+    the body, then the terminator as what keeps execution on the trace.
+    A side exit leaves after `executed` blocks and `charged`
+    instructions."""
+    term = _lower_body(em, block)
+    op = term.op
+    kind = block.kind
+    if kind == KIND_FALL:
+        _expect(block.succ_fall, expected)
+    elif kind == KIND_GOTO:
+        _expect(block.succ_target, expected)
+    elif kind == KIND_COND:
+        cond = _pop_cond(em, op)
+        # The guard fails when the branch goes the other way, so the
+        # side-exit successor is statically known.
+        if block.succ_target is expected:
+            em.emit(f"if not ({cond}):")
+            actual = block.succ_fall
+        elif block.succ_fall is expected:
+            em.emit(f"if {cond}:")
+            actual = block.succ_target
+        else:
+            raise LowerError("neither branch continues the trace")
+        _side_exit(em, executed, charged, em.const(actual))
+    elif kind == KIND_SWITCH:
+        _lower_guard_switch(em, block, term, expected, executed, charged)
+    elif kind == KIND_INVOKE and type(term.a) is NativeMethod:
+        # Natives run inline; control continues in this frame.
+        _expect(block.continuation, expected)
+        _lower_native(em, term.a, term.b)
+    elif kind == KIND_INVOKE and op is not Op.INVOKEVIRTUAL:
+        # Static and special calls have one callee: nothing to guard.
+        _expect(term.a.entry_block, expected)
+        _push_frame(em, op, term.a, term.b, block.continuation)
+        em.frame_switch()
+    elif kind == KIND_INVOKE:
+        # The callee depends on the receiver: guard its entry block.
+        target = _push_virtual_frame(em, term.a, term.b,
+                                     block.continuation)
+        em.frame_switch()
+        em.emit(f"if {target}.entry_block is not {em.const(expected)}:")
+        _side_exit(em, executed, charged, f"{target}.entry_block")
+    elif kind == KIND_RETURN:
+        _lower_guard_return(em, op, expected, executed, charged)
+    elif kind == KIND_THROW:
+        # Unwind via the interpreter's `_throw`; guard the handler.
+        em.need(1)
+        exc = em.pop()
+        em.flush_and_clear()
+        handler = em.temp(f"_throw(machine, {exc.expr}, {block.end - 1})")
+        em.frame_switch()
+        em.emit(f"if {handler.expr} is not {em.const(expected)}:")
+        _side_exit(em, executed, charged, handler.expr)
+    else:
+        raise LowerError(f"block kind {kind!r} not lowered")
+
+
+def _expect(successor, expected) -> None:
+    """Decline a trace whose next block is not the only successor its
+    block has (the trace contradicts the program)."""
+    if successor is not expected:
+        raise LowerError(f"successor {successor} is off the trace")
+
+
+def _side_exit(em: _Emitter, executed: int, charged: int,
+               successor: str) -> None:
+    """The failure branch of the guard just emitted: restore the
+    operand stack, count the exit, charge the blocks run, return."""
     for line in em.flush_lines():
-        em.emit(line, indent)
-    guard = em.guard_count
-    em.emit(f"{ct}.guard_failures += 1", indent)
-    em.emit(f"{exits}[{guard}] += 1", indent)
-    em.emit("EXIT_TOTAL[0] += 1", indent)
-    em.emit(f"machine.instr_count += {prefix[instr.ordinal + 1]}", indent)
-    em.emit(f"return {instr.ordinal + 1}, {successor_expr}, False", indent)
+        em.emit(line, 2)
+    em.emit(f"EXITS[{em.guard_count}] += 1", 2)
+    em.emit("EXIT_TOTAL[0] += 1", 2)
+    em.emit(f"machine.instr_count += {charged}", 2)
+    em.emit(f"return {executed}, {successor}, False", 2)
+    em.guard_count += 1
 
 
 def _pop_cond(em: _Emitter, op) -> str:
@@ -501,30 +564,13 @@ def _pop_cond(em: _Emitter, op) -> str:
     return template.format(a=a.expr, b=b.expr)
 
 
-def _lower_guard_cond(em: _Emitter, instr, ct: str, exits: str,
-                      prefix) -> None:
-    cond = _pop_cond(em, instr.op)
-    # Mismatch means the branch went the *other* way, so the side-exit
-    # successor is statically known.
-    if instr.expect_taken:
-        em.emit(f"if not ({cond}):")
-        actual = em.const(instr.fall_block)
-    else:
-        em.emit(f"if {cond}:")
-        actual = em.const(instr.taken_block)
-    _side_exit(em, instr, ct, exits, prefix, actual, indent=2)
-    em.guard_count += 1
-
-
-def _lower_guard_switch(em: _Emitter, instr, ct: str, exits: str,
-                        prefix) -> None:
-    block = instr.switch_block
+def _lower_guard_switch(em: _Emitter, block, term, expected,
+                        executed: int, charged: int) -> None:
     value = em.materialize(em.pop())
-    low = instr.a[0]
     targets = em.const(block.switch_blocks)
     default = em.const(block.switch_default)
-    expected = em.const(instr.expected)
-    offset = em.temp(f"{value.expr} - {low}")
+    expected = em.const(expected)
+    offset = em.temp(f"{value.expr} - {term.a[0]}")
     actual = f"t{em._temps}"
     em._temps += 1
     em.emit(f"if 0 <= {offset.expr} < {len(block.switch_blocks)}:")
@@ -532,12 +578,38 @@ def _lower_guard_switch(em: _Emitter, instr, ct: str, exits: str,
     em.emit("else:")
     em.emit(f"{actual} = {default}", 2)
     em.emit(f"if {actual} is not {expected}:")
-    _side_exit(em, instr, ct, exits, prefix, actual, indent=2)
-    em.guard_count += 1
+    _side_exit(em, executed, charged, actual)
+
+
+def _lower_guard_return(em: _Emitter, op, expected, executed: int,
+                        charged: int) -> None:
+    """Return: pop the frame; the continuation block is guarded.  The
+    return value re-enters the caller's *virtual* stack (the side exit
+    flushes it, matching the returning block's eager append)."""
+    value = None
+    if op is not Op.RETURN:
+        em.need(1)
+        value = _capture(em, em.pop())
+    # Anything left on the virtual stack belongs to the frame being
+    # discarded; the block path leaves it in the popped Frame object,
+    # which nothing can reach — dropping it is equivalent.
+    del em.vstack[:]
+    em.uses_frames = True
+    popped = em.temp("frames.pop()")
+    em.emit("if not frames:")
+    result = value.expr if value is not None else "None"
+    em.emit(f"machine.result = {result}", 2)
+    em.emit(f"machine.instr_count += {charged}", 2)
+    em.emit(f"return {executed}, None, False", 2)
+    em.frame_switch()
+    if value is not None:
+        em.push(value)
+    em.emit(f"if {popped.expr}.return_block is not {em.const(expected)}:")
+    _side_exit(em, executed, charged, f"{popped.expr}.return_block")
 
 
 # ----------------------------------------------------------------------
-# Frame-effecting instructions (calls, returns, natives, throws)
+# Calls and natives (frame effects shared by trace blocks and exits)
 
 def _take_args(em: _Emitter, argc: int) -> list:
     """The top `argc` virtual entries in stack order (bottom first)."""
@@ -598,46 +670,6 @@ def _push_virtual_frame(em: _Emitter, name: str, argc: int,
     return target.expr
 
 
-def _lower_vcall(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
-    """INVOKEVIRTUAL inside a trace: the entry block is guarded."""
-    target = _push_virtual_frame(em, instr.a, instr.b, instr.continuation)
-    em.frame_switch()
-    expected = em.const(instr.expected)
-    em.emit(f"if {target}.entry_block is not {expected}:")
-    _side_exit(em, instr, ct, exits, prefix, f"{target}.entry_block",
-               indent=2)
-    em.guard_count += 1
-
-
-def _lower_ret(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
-    """Return: pop the frame; the continuation block is guarded.  The
-    return value re-enters the caller's *virtual* stack (the side exit
-    flushes it, matching the returning block's eager append)."""
-    value = None
-    if instr.op is not Op.RETURN:
-        em.need(1)
-        value = _capture(em, em.pop())
-    # Anything left on the virtual stack belongs to the frame being
-    # discarded; the block path leaves it in the popped Frame object,
-    # which nothing can reach — dropping it is equivalent.
-    del em.vstack[:]
-    em.uses_frames = True
-    popped = em.temp("frames.pop()")
-    em.emit("if not frames:")
-    result = value.expr if value is not None else "None"
-    em.emit(f"machine.result = {result}", 2)
-    em.emit(f"machine.instr_count += {prefix[instr.ordinal + 1]}", 2)
-    em.emit(f"return {instr.ordinal + 1}, None, False", 2)
-    em.frame_switch()
-    if value is not None:
-        em.push(value)
-    expected = em.const(instr.expected)
-    em.emit(f"if {popped.expr}.return_block is not {expected}:")
-    _side_exit(em, instr, ct, exits, prefix,
-               f"{popped.expr}.return_block", indent=2)
-    em.guard_count += 1
-
-
 def _lower_native(em: _Emitter, target, argc: int) -> None:
     """Native call: executes inline, no frame push.  Natives see only
     the machine and their argument list, so the caller's virtual stack
@@ -650,20 +682,6 @@ def _lower_native(em: _Emitter, target, argc: int) -> None:
         em.push(em.temp(call))
     else:
         em.emit(call)
-
-
-def _lower_throw(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
-    """ATHROW: unwind via the interpreter's `_throw`, handler guarded."""
-    em.need(1)
-    exc = em.pop()
-    em.flush_and_clear()
-    handler = em.temp(
-        f"_throw(machine, {exc.expr}, {instr.origin_index})")
-    em.frame_switch()
-    expected = em.const(instr.expected)
-    em.emit(f"if {handler.expr} is not {expected}:")
-    _side_exit(em, instr, ct, exits, prefix, handler.expr, indent=2)
-    em.guard_count += 1
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (EventLog, TraceCacheConfig, TraceController,
-                        run_traced)
+from repro.core import TraceCacheConfig, TraceController, run_traced
 from repro.jvm import StepLimitExceeded, ThreadedInterpreter
 from repro.lang import compile_source
+from repro.obs import EventRecorder, Observability
 from tests.conftest import int_main
 
 
@@ -144,10 +144,13 @@ class TestConfigSensitivity:
                           TraceCacheConfig(start_state_delay=4096)).stats
         assert fast.coverage >= slow.coverage
 
-    def test_event_log_capture(self, counting_program):
-        log = EventLog()
-        result = run_traced(counting_program, event_log=log)
-        assert log.total == result.stats.signals
+    def test_state_change_capture(self, counting_program):
+        obs = Observability(history=0)
+        recorder = EventRecorder()
+        obs.bus.subscribe(recorder.record,
+                          kinds=("profiler.state_change",))
+        result = run_traced(counting_program, obs=obs)
+        assert recorder.total == result.stats.signals
 
 
 class TestProfilerTraceInteraction:

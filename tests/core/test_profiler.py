@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.core import BranchState, EventLog, Profiler, TraceCacheConfig
+from repro.core import BranchState, Profiler, TraceCacheConfig
+from repro.obs import EventBus, EventRecorder
 
 from .test_bcg import FakeBlock
 
@@ -126,14 +127,16 @@ class TestSignals:
         # one signal per node when it first classifies; none after
         assert keys.count((1, 2)) <= 1
 
-    def test_event_log_records(self):
-        log = EventLog(capacity=10)
+    def test_state_change_events_recorded(self):
+        bus = EventBus()
+        recorder = EventRecorder(capacity=10)
+        bus.subscribe(recorder.record, kinds=("profiler.state_change",))
         config = TraceCacheConfig(start_state_delay=1)
-        profiler = Profiler(config, event_log=log)
+        profiler = Profiler(config, bus=bus)
         blocks = {bid: FakeBlock(bid) for bid in (1, 2, 3)}
         for prev, cur in zip([1, 2, 3] * 10, ([1, 2, 3] * 10)[1:]):
             profiler.advance(prev, blocks[cur])
-        assert log.total == profiler.stats.signals
+        assert recorder.total == profiler.stats.signals
 
     def test_starvation_guard_keeps_summary(self):
         profiler, recorder = make_profiler(start_state_delay=1,

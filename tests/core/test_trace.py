@@ -1,9 +1,8 @@
-"""Trace objects and event log."""
+"""Trace objects."""
 
 from __future__ import annotations
 
-from repro.core import EventLog, StateChangeSignal, Trace
-from repro.core.states import BranchState
+from repro.core import Trace
 
 from .test_bcg import FakeBlock
 
@@ -49,25 +48,3 @@ class TestTrace:
         assert "entries=1" in text
         assert "p=0.980" in text
 
-
-class TestEventLog:
-    def signal(self, serial):
-        return StateChangeSignal(
-            (1, 2), (BranchState.WEAK, 3), (BranchState.STRONG, 3),
-            serial)
-
-    def test_records_up_to_capacity(self):
-        log = EventLog(capacity=3)
-        for i in range(5):
-            log.record(self.signal(i))
-        assert len(log.signals) == 3
-        assert log.dropped == 2
-        assert log.total == 5
-
-    def test_signal_fields(self):
-        log = EventLog()
-        log.record(self.signal(42))
-        signal = log.signals[0]
-        assert signal.node_key == (1, 2)
-        assert signal.dispatch_serial == 42
-        assert signal.new_summary[0] is BranchState.STRONG

@@ -121,14 +121,13 @@ class TestChromeTraceSchema:
 
 class TestSnapshotSchema:
     TOP = {"schema", "dispatches", "bcg", "cache", "profiler",
-           "codegen", "linking", "profile", "events", "timers",
-           "event_log"}
+           "codegen", "linking", "profile", "events", "timers"}
 
     def test_top_level_keys_pinned(self, observed_run):
         vm, _obs, _events, _chrome = observed_run
         snap = vm.snapshot()
         assert set(snap) == self.TOP
-        assert snap["schema"] == SNAPSHOT_SCHEMA
+        assert snap["schema"] == SNAPSHOT_SCHEMA == 5
 
     def test_section_keys_pinned(self, observed_run):
         vm, _obs, _events, _chrome = observed_run

@@ -21,12 +21,13 @@ from repro.jvm import ThreadedInterpreter, execute_block
 from repro.jvm.basicblock import (KIND_COND, KIND_FALL, KIND_GOTO,
                                   KIND_INVOKE, KIND_RETURN, KIND_SWITCH,
                                   KIND_THROW)
-from repro.jvm.errors import StepLimitExceeded, VMRuntimeError
+from repro.jvm.errors import (StepLimitAhead, StepLimitExceeded,
+                              VMRuntimeError)
 from repro.jvm.heap import ArrayRef, ObjRef
 from repro.jvm.intrinsics import NativeMethod
 from repro.jvm.threaded import Machine
 from repro.lang import compile_source
-from repro.opt import CodeCache, flatten, optimize
+from repro.opt import CodeCache, CompiledTrace
 from repro.opt.codegen import HELPERS
 from tests.conftest import int_main
 
@@ -180,11 +181,16 @@ def _interpret_pair(first, second):
     return run
 
 
-def _call_trace(fn):
+def _call_trace(fn, first, second):
+    """A compiled trace dispatched as the controller does: a trace that
+    might cross the step limit runs on the block path instead."""
     def run(machine):
         frame = machine.frames[-1]
-        executed, nxt, _completed = fn(machine, frame, frame.stack,
-                                       frame.locals)
+        try:
+            executed, nxt, _completed = fn(machine, frame, frame.stack,
+                                           frame.locals)
+        except StepLimitAhead:
+            return _interpret_pair(first, second)(machine)
         return executed, nxt
     return run
 
@@ -235,11 +241,10 @@ class ParityRun:
             return
         key = (previous, block)
         if key not in self.trace_fns:
-            compiled = flatten(Trace(key, (), 1.0, serial=0))
-            optimize(compiled)
-            self.trace_fns[key] = self.cache.install(compiled)
+            self.trace_fns[key] = self.cache.install(
+                CompiledTrace(Trace(key, (), 1.0, serial=0)))
         self._same(before, _interpret_pair(previous, block),
-                   _call_trace(self.trace_fns[key]), key)
+                   _call_trace(self.trace_fns[key], previous, block), key)
         self.tail_kinds.add(_exit_kind(block))
 
 

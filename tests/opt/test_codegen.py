@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import pytest
 
-from repro.core import TraceCacheConfig, TraceController
+from repro.core import TraceCacheConfig, TraceController, run_traced
+from repro.core.trace import Trace
 from repro.jvm import ThreadedInterpreter
+from repro.jvm.basicblock import KIND_FALL, KIND_GOTO
 from repro.lang import compile_source
-from repro.opt import CodeCache, TraceOptimizer, lower
-from repro.opt.ir import CompiledTrace, TraceInstr
+from repro.opt import CodeCache, CompiledTrace, TraceOptimizer, lower
+from repro.workloads import load_workload
 from tests.conftest import int_main
 
 AGGRESSIVE = dict(start_state_delay=4, decay_period=16)
@@ -135,7 +137,7 @@ class TestLazyCompilation:
             "int s = 0;"
             "for (int i = 0; i < 3000; i = i + 1) { s = (s + i) & 255; }"
             "return s;"), compile_threshold=10 ** 9)
-        assert result.stats.traces_compiled > 0         # IR forms exist
+        assert result.stats.trace_dispatches > 0
         assert result.stats.codegen_traces_compiled == 0
 
     def test_hot_traces_compile(self):
@@ -160,35 +162,51 @@ class TestInvalidation:
             (t, optimizer.compiled[id(t)])
             for t in controller.cache.traces.values()
             if id(t) in optimizer.compiled
-            and optimizer.compiled[id(t)].py_fn is not None)
+            and optimizer.compiled[id(t)].fn is not None)
         optimizer.invalidate(trace)
         assert id(trace) not in optimizer.compiled
-        assert compiled.py_fn is None
+        assert compiled.fn is None
+        # A trace dispatched again starts over with a fresh record.
+        assert optimizer.get(trace) is not compiled
+
+
+def declined_traces() -> dict:
+    """Traces codegen must decline, over the blocks of a real loop."""
+    program = compile_source(int_main(
+        "int s = 0;"
+        "for (int i = 0; i < 10; i = i + 1) { s = s + i; }"
+        "return s;"))
+    block = next(b for b in program.blocks
+                 if b.kind in (KIND_FALL, KIND_GOTO))
+    successor = block.succ_fall if block.kind == KIND_FALL \
+        else block.succ_target
+    stranger = next(b for b in program.blocks if b is not successor)
+    return {
+        "one block": Trace((block,), (), 1.0, serial=1),
+        # The block's only successor is not the trace's next block.
+        "contradicted successor": Trace((block, stranger), (), 1.0,
+                                        serial=2),
+    }
 
 
 class TestUncompilable:
-    def _bogus_trace(self):
-        return CompiledTrace(
-            trace=SimpleNamespace(blocks=(None, None), entries=0),
-            instrs=[TraceInstr("no-such-kind")],
-            final_block=None,
-            original_instr_count=2,
-            block_weight_prefix=[0, 1])
-
-    def test_lower_declines_unknown_kinds(self):
-        assert lower(self._bogus_trace()) is None
+    @pytest.mark.parametrize("case", ["one block", "contradicted successor"])
+    def test_lower_declines(self, case):
+        assert lower(declined_traces()[case]) is None
 
     def test_install_marks_and_counts(self):
         cache = CodeCache()
-        compiled = self._bogus_trace()
+        compiled = CompiledTrace(declined_traces()["contradicted successor"])
         assert cache.install(compiled) is None
-        assert compiled.py_uncompilable
+        assert compiled.declined
         assert cache.stats.traces_uncompilable == 1
 
     def test_backend_fn_falls_back_forever(self):
         optimizer = TraceOptimizer(compile_threshold=1)
-        compiled = self._bogus_trace()
-        compiled.trace.entries = 10
+        trace = declined_traces()["one block"]
+        trace.entries = 10
+        compiled = optimizer.get(trace)
+        assert optimizer.get(trace) is compiled
         assert optimizer.backend_fn(compiled) is None
         assert optimizer.backend_fn(compiled) is None   # cached decline
         assert optimizer.codecache.stats.traces_uncompilable == 1
@@ -199,10 +217,8 @@ class TestDeclinedFallback:
         """With codegen declining every trace, dispatch falls back to
         block-by-block execution and stays exact."""
         import repro.opt.codecache as codecache
-        from repro.core import run_traced
-        from repro.workloads import load_workload
 
-        monkeypatch.setattr(codecache, "lower", lambda compiled: None)
+        monkeypatch.setattr(codecache, "lower", lambda trace: None)
         program = load_workload("compressx", "tiny")
         ref = ThreadedInterpreter(program).run()
         result = run_traced(program, TraceCacheConfig(
@@ -213,11 +229,36 @@ class TestDeclinedFallback:
         assert result.stats.codegen_uncompilable > 0
         assert result.stats.codegen_traces_compiled == 0
 
+    @pytest.mark.parametrize("mangle", [
+        lambda blocks: blocks[:1],
+        # The first block repeated: its static successor contradicts
+        # the trace wherever it is not a one-block loop.
+        lambda blocks: blocks[:1] + blocks,
+    ], ids=["one block", "contradicted successor"])
+    def test_malformed_traces_are_declined(self, monkeypatch, mangle):
+        """Traces the constructor never builds — one block long, or
+        against a block's own successor — are declined by codegen and
+        still run exactly, block by block."""
+        import repro.core.trace_cache as trace_cache
+
+        def build(blocks, **fields):
+            return Trace(mangle(blocks), **fields)
+
+        monkeypatch.setattr(trace_cache, "Trace", build)
+        program = load_workload("compressx", "tiny")
+        ref = ThreadedInterpreter(program).run()
+        result = run_traced(program, TraceCacheConfig(
+            optimize_traces=True, compile_threshold=1, **AGGRESSIVE))
+        assert result.value == ref.result
+        assert result.output == ref.output
+        assert result.stats.instr_total == ref.instr_count
+        assert result.stats.trace_dispatches > 0
+        assert result.stats.codegen_uncompilable > 0
+
     def test_declined_blocks_stay_interpreted(self, monkeypatch):
         """A hot lone block codegen declines keeps running through
         ``execute_block``, and is not offered to codegen again."""
         import repro.opt.codecache as codecache
-        from repro.workloads import load_workload
 
         declined = []
         monkeypatch.setattr(codecache, "lower_block",

@@ -1,25 +1,33 @@
 """Directed tests for the rarer optimized-trace guard paths:
-throw guards, return guards, and their side exits."""
+throw guards, return guards, virtual-call guards, and their side
+exits."""
 
 from __future__ import annotations
 
-from repro.core import TraceCacheConfig, run_traced
+from repro.core import TraceCacheConfig, TraceController
 from repro.jvm import ThreadedInterpreter
 from repro.lang import compile_source
-from repro.opt.ir import K_RET, K_THROW
-from repro.opt import FlattenError, flatten
 
 AGGRESSIVE = TraceCacheConfig(start_state_delay=4, decay_period=16,
                               optimize_traces=True)
 
 
 def assert_equivalent(source):
+    """Run `source` compiled and interpreted; returns the compiled
+    run's controller."""
     program = compile_source(source)
     expected = ThreadedInterpreter(program).run()
-    optimized = run_traced(program, AGGRESSIVE)
+    controller = TraceController(program, AGGRESSIVE)
+    optimized = controller.run()
     assert optimized.value == expected.result
     assert optimized.stats.instr_total == expected.instr_count
-    return optimized
+    return controller
+
+
+def trace_sources(controller) -> list[str]:
+    """The generated source of every trace shape the run compiled."""
+    return [source for source in controller.optimizer.codecache._code
+            if source.startswith("def trace_fn")]
 
 
 class TestThrowGuards:
@@ -38,16 +46,11 @@ class TestThrowGuards:
 
     def test_trace_through_throw(self):
         # Throwing every iteration makes the throw->handler edge hot
-        # and unique, so traces cross it and flattening emits K_THROW.
-        result = assert_equivalent(self.THROW_EVERY_ITERATION)
-        kinds = set()
-        for trace in result.cache.traces.values():
-            try:
-                compiled = flatten(trace)
-            except FlattenError:
-                continue
-            kinds.update(i.kind for i in compiled.instrs)
-        assert K_THROW in kinds
+        # and unique, so traces cross it and guard the handler (a
+        # trace's final block returns `_throw(...)` unguarded instead).
+        controller = assert_equivalent(self.THROW_EVERY_ITERATION)
+        assert any(" = _throw(" in source
+                   for source in trace_sources(controller))
 
     def test_multi_frame_unwind_inside_trace(self):
         assert_equivalent("""
@@ -90,7 +93,7 @@ class TestReturnGuards:
         # helper returns alternately to two continuations; any trace
         # through the return guards one of them and side-exits on the
         # other
-        result = assert_equivalent("""
+        controller = assert_equivalent("""
             class Main {
                 static int helper(int x) { return x + 1; }
                 static int main() {
@@ -107,14 +110,8 @@ class TestReturnGuards:
                 }
             }
         """)
-        kinds = set()
-        for trace in result.cache.traces.values():
-            try:
-                compiled = flatten(trace)
-            except FlattenError:
-                continue
-            kinds.update(i.kind for i in compiled.instrs)
-        assert K_RET in kinds
+        assert any(".return_block is not" in source
+                   for source in trace_sources(controller))
 
     def test_recursive_returns(self):
         assert_equivalent("""
@@ -134,8 +131,8 @@ class TestReturnGuards:
         """)
 
     def test_program_end_inside_optimized_trace(self):
-        # main's own return can sit inside a trace; the K_RET path with
-        # an empty frame stack must terminate the program cleanly
+        # main's own return can sit inside a trace; the return guard
+        # with an empty frame stack must terminate the program cleanly
         assert_equivalent("""
             class Main {
                 static int work() {
@@ -187,3 +184,25 @@ class TestSwitchGuards:
                 }
             }
         """)
+
+
+class TestVirtualGuards:
+    def test_vcall_guard_present(self):
+        # A monomorphic call site: the virtual edge is UNIQUE, so the
+        # trace crosses it and guards the callee's entry block.
+        controller = assert_equivalent("""
+            class A { int f() { return 1; } }
+            class B extends A { int f() { return 2; } }
+            class Main {
+                static int main() {
+                    A obj = new B();
+                    int s = 0;
+                    for (int i = 0; i < 3000; i = i + 1) {
+                        s = (s + obj.f()) & 4095;
+                    }
+                    return s;
+                }
+            }
+        """)
+        assert any(".entry_block is not" in source
+                   for source in trace_sources(controller))

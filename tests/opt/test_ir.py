@@ -1,93 +1,35 @@
-"""Trace IR dataclasses and optimizer bookkeeping."""
+"""Optimizer bookkeeping: per-trace records, declines and invalidation."""
 
 from __future__ import annotations
 
-from repro.jvm.bytecode import Op
+from repro.core import TraceCacheConfig, run_traced
+from repro.core.trace import Trace
 from repro.opt import TraceOptimizer
-from repro.opt.ir import (CompiledTrace, FlattenError, K_GUARD_COND,
-                          K_SIMPLE, TraceInstr)
-
-
-class FakeBlock:
-    def __init__(self, bid):
-        self.bid = bid
-
-
-class FakeTrace:
-    def __init__(self, bids):
-        self.blocks = tuple(FakeBlock(b) for b in bids)
-
-
-class TestTraceInstr:
-    def test_repr_simple(self):
-        instr = TraceInstr(K_SIMPLE, op=Op.IADD, weight=2, ordinal=1)
-        text = repr(instr)
-        assert "iadd" in text.lower()
-        assert "w=2" in text
-
-    def test_repr_guard(self):
-        instr = TraceInstr(K_GUARD_COND, op=Op.IFEQ)
-        assert "gcond" in repr(instr)
-
-    def test_defaults(self):
-        instr = TraceInstr(K_SIMPLE, op=Op.NOP)
-        assert instr.weight == 1
-        assert instr.expected is None
-
-
-class TestCompiledTrace:
-    def make(self):
-        compiled = CompiledTrace(trace=FakeTrace([1, 2, 3]))
-        compiled.instrs = [TraceInstr(K_SIMPLE, op=Op.NOP, weight=2),
-                           TraceInstr(K_SIMPLE, op=Op.NOP, weight=1)]
-        compiled.original_instr_count = 5
-        return compiled
-
-    def test_savings(self):
-        compiled = self.make()
-        assert compiled.optimized_instr_count == 2
-        assert compiled.savings == 3
-
-    def test_describe(self):
-        text = self.make().describe()
-        assert "3 blocks" in text
-        assert "3 saved" in text
 
 
 class TestOptimizerBookkeeping:
-    def test_unoptimizable_remembered(self):
-        optimizer = TraceOptimizer()
-        too_short = FakeTrace([1])
-        assert optimizer.get(too_short) is None
-        assert optimizer.get(too_short) is None
+    def test_unoptimizable_remembered(self, counting_program):
+        optimizer = TraceOptimizer(compile_threshold=1)
+        too_short = Trace((counting_program.blocks[0],), (), 1.0, serial=1)
+        too_short.entries = 5
+        compiled = optimizer.get(too_short)
+        assert optimizer.backend_fn(compiled) is None
+        assert compiled.declined
+        assert optimizer.get(too_short) is compiled
+        assert optimizer.backend_fn(compiled) is None
         # only counted once
-        assert optimizer.stats.traces_unoptimizable == 1
+        assert optimizer.codecache.stats.traces_uncompilable == 1
 
     def test_invalidate_clears_cache(self, counting_program):
-        from repro.core import TraceCacheConfig, run_traced
         result = run_traced(counting_program,
                             TraceCacheConfig(start_state_delay=4))
         traces = list(result.cache.traces.values())
-        if not traces:
-            return
+        assert traces
         optimizer = TraceOptimizer()
         compiled = optimizer.get(traces[0])
-        assert compiled is not None
+        assert optimizer.get(traces[0]) is compiled
         optimizer.invalidate(traces[0])
+        assert id(traces[0]) not in optimizer.compiled
         recompiled = optimizer.get(traces[0])
         assert recompiled is not compiled
-
-    def test_static_reduction_fraction(self):
-        optimizer = TraceOptimizer()
-        optimizer.stats.original_instrs = 100
-        optimizer.stats.optimized_instrs = 80
-        assert optimizer.stats.static_savings == 20
-        assert optimizer.stats.static_reduction == 0.2
-        empty = TraceOptimizer()
-        assert empty.stats.static_reduction == 0.0
-
-    def test_dynamic_savings_counts_completions(self, counting_program):
-        from repro.core import TraceCacheConfig, run_traced
-        result = run_traced(counting_program, TraceCacheConfig(
-            start_state_delay=4, optimize_traces=True))
-        assert result.stats.opt_dynamic_savings >= 0
+        assert not recompiled.declined and recompiled.fn is None

@@ -45,7 +45,7 @@ class TestWorkloads:
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_all_engines_agree(self, name):
         report = assert_equivalent(load_workload(name, "tiny"))
-        # compile_threshold=1 means every flattened trace was fed to
+        # compile_threshold=1 means every dispatched trace was fed to
         # codegen in the py profile.
         py = report.results["py"]
         assert py.stats.codegen_traces_compiled > 0, name
